@@ -4,9 +4,10 @@
 # (the correctness gate for src/runtime/ and everything layered on it,
 # now including the TCP transport and the multi-tenant RCU registry /
 # solve cache), an AddressSanitizer build of the flat-CSR linalg kernels,
-# the zero-allocation solver hot path, and the wire codec + TCP frame
-# reassembly fuzz suites (the gate for src/linalg/ span/pointer
-# arithmetic, workspace reuse, and byte-level decode), and a UBSan
+# the zero-allocation solver hot path, the routing-matrix row splicing
+# of incremental rerouting, and the wire codec + TCP frame reassembly
+# fuzz suites (the gate for src/linalg/ span/pointer arithmetic,
+# workspace reuse, arena spans, and byte-level decode), and a UBSan
 # build of the fused batch
 # kernels and solver — including the explicit AVX2/AVX-512 intrinsic TUs
 # via opt_simd_dispatch_test (the gate for the branch-free select
@@ -45,15 +46,15 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target ${TSAN_TESTS}
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   -R 'runtime_thread_pool_test|runtime_parallel_test|core_batch_solver_test|sampling_simulation_test|serve_service_test|serve_stress_test|obs_ring_test|obs_metrics_test|serve_obs_test|control_tracker_test|control_policy_test|control_actuator_test|control_loop_test|opt_parallel_solve_test|core_approx_test|core_scale_smoke_test|ingest_spsc_ring_test|ingest_pipeline_test|serve_tcp_test|tenant_registry_test|tenant_cache_test|tenant_service_test'
 
-echo "== tier-2: ASan gate on linalg kernels + solver + wire decoding =="
+echo "== tier-2: ASan gate on linalg kernels + solver + rerouting + wire decoding =="
 ASAN_TESTS="linalg_sparse_test opt_objective_test opt_gradient_projection_test \
 opt_zero_alloc_test core_solver_test estimate_flow_inversion_test \
-serve_wire_test serve_tcp_fuzz_test"
+serve_wire_test serve_tcp_fuzz_test routing_reroute_test"
 cmake -B "${PREFIX}-asan" -S . -DNETMON_SANITIZE=address
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target ${ASAN_TESTS}
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-  -R 'linalg_sparse_test|opt_objective_test|opt_gradient_projection_test|opt_zero_alloc_test|core_solver_test|estimate_flow_inversion_test|serve_wire_test|serve_tcp_fuzz_test'
+  -R 'linalg_sparse_test|opt_objective_test|opt_gradient_projection_test|opt_zero_alloc_test|core_solver_test|estimate_flow_inversion_test|serve_wire_test|serve_tcp_fuzz_test|routing_reroute_test'
 
 echo "== tier-2: UBSan gate on the fused batch kernels + solver =="
 UBSAN_TESTS="core_utility_test opt_fused_eval_test opt_objective_test \

@@ -238,6 +238,7 @@ check_scaling() { # key — scale timing, lower is better, vs scaling baseline
 }
 check_scaling gen_ms
 check_scaling build_ms
+check_scaling whatif_build_ms
 check_scaling approx_ms
 check_scaling solve1_ms
 

@@ -25,14 +25,25 @@ PlacementProblem::PlacementProblem(const topo::Graph& graph,
                                    MeasurementTask task,
                                    traffic::LinkLoads loads,
                                    ProblemOptions options)
+    : PlacementProblem(graph, task, std::move(loads), options,
+                       build_matrix(graph, task, options)) {}
+
+PlacementProblem::PlacementProblem(const topo::Graph& graph,
+                                   MeasurementTask task,
+                                   traffic::LinkLoads loads,
+                                   ProblemOptions options,
+                                   routing::RoutingMatrix matrix)
     : graph_(graph),
       task_(std::move(task)),
       loads_(std::move(loads)),
       options_(std::move(options)),
-      matrix_(build_matrix(graph_, task_, options_)) {
+      matrix_(std::move(matrix)) {
   NETMON_REQUIRE(task_.ods.size() == task_.expected_packets.size(),
                  "task OD/size vectors must be aligned");
   NETMON_REQUIRE(!task_.ods.empty(), "task must contain >= 1 OD pair");
+  NETMON_REQUIRE(matrix_.ods() == task_.ods &&
+                     matrix_.link_count() == graph_.link_count(),
+                 "routing matrix must route the task's OD pairs over graph");
   NETMON_REQUIRE(loads_.size() == graph_.link_count(),
                  "one load per link required");
   NETMON_REQUIRE(task_.interval_sec > 0.0, "interval must be positive");

@@ -42,9 +42,17 @@ struct ProblemOptions {
 class PlacementProblem {
  public:
   /// `loads` are per-link packet rates (pkt/s) including all cross
-  /// traffic; they must be positive on every candidate link.
+  /// traffic; they must be positive on every candidate link. Routes the
+  /// task's OD pairs as `options` says (failed links, ECMP).
   PlacementProblem(const topo::Graph& graph, MeasurementTask task,
                    traffic::LinkLoads loads, ProblemOptions options = {});
+
+  /// Same, over a prebuilt routing matrix of the task's OD pairs (in task
+  /// order, over `graph`); `options.failed` and `options.ecmp` are not
+  /// consulted — `matrix` already embodies them.
+  PlacementProblem(const topo::Graph& graph, MeasurementTask task,
+                   traffic::LinkLoads loads, ProblemOptions options,
+                   routing::RoutingMatrix matrix);
 
   /// The routing matrix of the task's OD pairs.
   const routing::RoutingMatrix& routing() const noexcept { return matrix_; }

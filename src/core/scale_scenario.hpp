@@ -9,6 +9,7 @@
 
 #include "core/problem.hpp"
 #include "core/task.hpp"
+#include "routing/routing_matrix.hpp"
 #include "topo/hierarchical.hpp"
 #include "traffic/fanout.hpp"
 #include "traffic/link_load.hpp"
@@ -36,11 +37,15 @@ struct ScaleScenario {
   MeasurementTask task;
   /// The fan-out demands routed to produce the task's share of `loads`.
   traffic::TrafficMatrix demands;
+  /// Single-path routing of the task's OD pairs (row k = demand k) with no
+  /// failures: routed once here, then reused by `loads`,
+  /// default_scale_theta and every make_problem (which reroutes it).
+  routing::RoutingMatrix routing;
   /// Per-link loads (pkt/s): background plus routed task demands.
   traffic::LinkLoads loads;
 };
 
-/// Builds the scenario: topology, fan-out task, loads.
+/// Builds the scenario: topology, fan-out task, base routing, loads.
 ScaleScenario make_scale_scenario(const ScaleScenarioOptions& options = {});
 
 /// A theta that keeps the instance interesting: `fraction` of the maximum
@@ -51,7 +56,9 @@ double default_scale_theta(const ScaleScenario& scenario,
                            double fraction = 0.01);
 
 /// Builds the placement problem of the scenario. When options.theta is
-/// unset (<= 0), default_scale_theta(scenario) is used.
+/// unset (<= 0), default_scale_theta(scenario) is used. Single-path
+/// problems reroute `scenario.routing` around options.failed
+/// (RoutingMatrix::reroute); ECMP problems route in full.
 PlacementProblem make_problem(const ScaleScenario& scenario,
                               ProblemOptions options);
 

@@ -34,11 +34,25 @@ class RoutingMatrix {
   /// A (column, fraction) row slice of either orientation.
   using RowView = linalg::SparseCsr::RowView;
 
+  /// An empty matrix: no OD pairs, no links.
+  RoutingMatrix() = default;
+
   /// Builds R with deterministic single shortest paths (r_{k,i} in {0,1}).
   /// Throws if any OD pair is unreachable.
   static RoutingMatrix single_path(const topo::Graph& graph,
                                    std::vector<OdPair> ods,
                                    const LinkSet& failed = {});
+
+  /// The single-path matrix of `base`'s OD pairs with `failed` failing on
+  /// top of `base.failed()`: bit-identical to
+  /// single_path(graph, base.ods(), base.failed() ∪ failed), including
+  /// the error thrown when an OD pair becomes unreachable. Only rows whose
+  /// path crosses a failed link are recomputed (one Dijkstra per affected
+  /// source); every other row keeps its path (DESIGN.md §11). `base` must
+  /// be single-path and built over `graph`.
+  static RoutingMatrix reroute(const RoutingMatrix& base,
+                               const topo::Graph& graph,
+                               const LinkSet& failed);
 
   /// Builds R with ECMP fractions (r_{k,i} in (0,1]).
   static RoutingMatrix ecmp(const topo::Graph& graph, std::vector<OdPair> ods,
@@ -73,12 +87,18 @@ class RoutingMatrix {
   /// R^T (link rows x OD columns) — the CSC view.
   const linalg::SparseCsr& csc() const noexcept { return csc_; }
 
- private:
-  RoutingMatrix() = default;
+  /// Whether R routes every OD pair over one path (single_path/reroute),
+  /// as opposed to ECMP fractions.
+  bool is_single_path() const noexcept { return single_path_; }
+  /// The failed links R was built around.
+  const LinkSet& failed() const noexcept { return failed_; }
 
+ private:
   std::vector<OdPair> ods_;
   linalg::SparseCsr csr_;
   linalg::SparseCsr csc_;
+  bool single_path_ = false;
+  LinkSet failed_;
 };
 
 }  // namespace netmon::routing

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <queue>
 
@@ -12,11 +13,34 @@ namespace netmon::routing {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// The failed set as a per-link bitmap, built once per SPF run: a relaxation
+// tests one bit instead of hashing into the LinkSet. An empty set allocates
+// nothing and its test is a loop-invariant branch. Ids outside the graph
+// name no link and are dropped.
+class FailedBits {
+ public:
+  FailedBits(const topo::Graph& graph, const LinkSet& failed) {
+    if (failed.empty()) return;
+    words_.assign((graph.link_count() + 63) / 64, 0);
+    for (topo::LinkId id : failed) {
+      if (id < graph.link_count())
+        words_[id / 64] |= std::uint64_t{1} << (id % 64);
+    }
+  }
+
+  bool contains(topo::LinkId id) const {
+    return !words_.empty() && ((words_[id / 64] >> (id % 64)) & 1U) != 0;
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
+
 // Dijkstra over reversed links: distance from every node *to* `sink`.
 // Used by ECMP to identify links on shortest paths.
 std::vector<double> reverse_distances(const topo::Graph& graph,
                                       topo::NodeId sink,
-                                      const LinkSet& failed) {
+                                      const FailedBits& failed) {
   std::vector<double> dist(graph.node_count(), kInf);
   using Item = std::pair<double, topo::NodeId>;
   std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
@@ -27,7 +51,7 @@ std::vector<double> reverse_distances(const topo::Graph& graph,
     queue.pop();
     if (d > dist[v]) continue;
     for (topo::LinkId id : graph.in_links(v)) {
-      if (failed.count(id)) continue;
+      if (failed.contains(id)) continue;
       const topo::Link& l = graph.link(id);
       const double nd = d + l.igp_weight;
       if (nd < dist[l.src]) {
@@ -47,6 +71,7 @@ bool SpfResult::reachable(topo::NodeId v) const {
 void dijkstra_into(const topo::Graph& graph, topo::NodeId source,
                    const LinkSet& failed, SpfResult& out) {
   NETMON_REQUIRE(source < graph.node_count(), "SPF source out of range");
+  const FailedBits failed_bits(graph, failed);
   out.source = source;
   out.dist.assign(graph.node_count(), kInf);
   out.parent.assign(graph.node_count(), topo::kInvalidId);
@@ -60,7 +85,7 @@ void dijkstra_into(const topo::Graph& graph, topo::NodeId source,
     queue.pop();
     if (d > out.dist[u]) continue;
     for (topo::LinkId id : graph.out_links(u)) {
-      if (failed.count(id)) continue;
+      if (failed_bits.contains(id)) continue;
       const topo::Link& l = graph.link(id);
       const double nd = d + l.igp_weight;
       if (nd < out.dist[l.dst] ||
@@ -110,7 +135,9 @@ std::vector<std::pair<topo::LinkId, double>> ecmp_fractions(
   NETMON_REQUIRE(dst < graph.node_count(), "ECMP destination out of range");
   const SpfResult fwd = dijkstra(graph, src, failed);
   if (!fwd.reachable(dst)) return {};
-  const std::vector<double> to_dst = reverse_distances(graph, dst, failed);
+  const FailedBits failed_bits(graph, failed);
+  const std::vector<double> to_dst =
+      reverse_distances(graph, dst, failed_bits);
   const double total = fwd.dist[dst];
 
   // A link u->v is on a shortest path iff dist(src,u) + w + dist(v,dst)
@@ -137,7 +164,7 @@ std::vector<std::pair<topo::LinkId, double>> ecmp_fractions(
     if (node_fraction[u] <= 0.0 || u == dst) continue;
     std::vector<topo::LinkId> next;
     for (topo::LinkId id : graph.out_links(u)) {
-      if (failed.count(id)) continue;
+      if (failed_bits.contains(id)) continue;
       if (on_shortest(graph.link(id))) next.push_back(id);
     }
     if (next.empty()) continue;  // u is not on any shortest path to dst

@@ -5,6 +5,7 @@
 // runs the same path in bench/scaling_perf.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 
 #include "core/approx.hpp"
@@ -35,6 +36,84 @@ TEST(ScaleSmoke, ScenarioAssembles) {
   ASSERT_EQ(scenario.loads.size(), scenario.net.graph.link_count());
   for (double load : scenario.loads) EXPECT_GT(load, 0.0);
   for (double s : scenario.task.expected_packets) EXPECT_GE(s, 2.0);
+}
+
+void expect_same_csr(const linalg::SparseCsr& a, const linalg::SparseCsr& b) {
+  EXPECT_EQ(a.cols(), b.cols());
+  EXPECT_TRUE(std::ranges::equal(a.row_ptr(), b.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(a.col_idx(), b.col_idx()));
+  EXPECT_TRUE(std::ranges::equal(a.values(), b.values()));
+}
+
+// The scenario routes once and derives its loads and default theta from
+// that matrix: both must equal the full per-call computations bit for bit.
+TEST(ScaleSmoke, LoadsAndThetaMatchTheFullComputation) {
+  const ScaleScenarioOptions options = smoke_options();
+  const ScaleScenario scenario = make_scale_scenario(options);
+  const routing::RoutingMatrix full = routing::RoutingMatrix::single_path(
+      scenario.net.graph, scenario.task.ods);
+  expect_same_csr(scenario.routing.csr(), full.csr());
+  EXPECT_TRUE(scenario.routing.failed().empty());
+
+  traffic::LinkLoads loads = traffic::background_loads(
+      scenario.net.graph, options.background_utilization);
+  const traffic::LinkLoads task_loads =
+      traffic::link_loads(scenario.net.graph, scenario.demands);
+  for (std::size_t i = 0; i < loads.size(); ++i) loads[i] += task_loads[i];
+  EXPECT_EQ(scenario.loads, loads);
+
+  double max_budget = 0.0;
+  for (topo::LinkId id : full.links_used())
+    max_budget += loads[id] * options.interval_sec;
+  EXPECT_EQ(default_scale_theta(scenario), 0.01 * max_budget);
+}
+
+// A failed-link what-if reroutes the scenario's matrix; the problem must
+// be the one full routing around the failure assembles.
+TEST(ScaleSmoke, WhatIfProblemMatchesFullRouting) {
+  const ScaleScenario scenario = make_scale_scenario(smoke_options());
+  const std::vector<topo::LinkId> used = scenario.routing.links_used();
+  ProblemOptions options;
+  options.theta = default_scale_theta(scenario);
+  for (topo::LinkId link : {used.front(), used[used.size() / 2]}) {
+    options.failed = {link};
+    const PlacementProblem fast = make_problem(scenario, options);
+    const PlacementProblem full(scenario.net.graph, scenario.task,
+                                scenario.loads, options);
+    EXPECT_EQ(fast.candidates(), full.candidates());
+    expect_same_csr(fast.routing().csr(), full.routing().csr());
+    expect_same_csr(fast.routing().csc(), full.routing().csc());
+    expect_same_csr(fast.objective().matrix(), full.objective().matrix());
+    EXPECT_EQ(fast.routing().failed(), options.failed);
+  }
+}
+
+// A default-theta what-if takes both its theta and its routing from the
+// scenario's stored matrix instead of routing the graph again: with a
+// stored matrix already around one failure, the theta is that matrix's
+// and the what-if's routing carries both failures.
+TEST(ScaleSmoke, DefaultThetaWhatIfReusesTheStoredRouting) {
+  ScaleScenario scenario = make_scale_scenario(smoke_options());
+  const double fresh_theta = default_scale_theta(scenario);
+  const std::vector<topo::LinkId> used = scenario.routing.links_used();
+  const topo::LinkId first = used.front();
+  const topo::LinkId second = used.back();
+  scenario.routing = routing::RoutingMatrix::reroute(
+      scenario.routing, scenario.net.graph, {first});
+  const double stored_theta = default_scale_theta(scenario);
+  EXPECT_NE(stored_theta, fresh_theta);
+
+  ProblemOptions options;
+  options.theta = 0.0;
+  options.failed = {second};
+  const PlacementProblem problem = make_problem(scenario, options);
+  EXPECT_EQ(problem.theta(), stored_theta);
+  EXPECT_EQ(problem.routing().failed(), (routing::LinkSet{first, second}));
+  expect_same_csr(problem.routing().csr(),
+                  routing::RoutingMatrix::single_path(scenario.net.graph,
+                                                      scenario.task.ods,
+                                                      {first, second})
+                      .csr());
 }
 
 TEST(ScaleSmoke, ApproxTierCertifiesWithinOnePercent) {
