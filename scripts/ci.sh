@@ -5,11 +5,11 @@
 # now including the TCP transport and the multi-tenant RCU registry /
 # solve cache), an AddressSanitizer build of the flat-CSR linalg kernels,
 # the zero-allocation solver hot path, the routing-matrix row splicing
-# of incremental rerouting, and the wire codec + TCP frame reassembly
-# fuzz suites (the gate for src/linalg/ span/pointer arithmetic,
-# workspace reuse, arena spans, and byte-level decode), and a UBSan
-# build of the fused batch
-# kernels and solver — including the explicit AVX2/AVX-512 intrinsic TUs
+# of incremental rerouting, the warm-start face projection, and the wire
+# codec + TCP frame reassembly fuzz suites (the gate for src/linalg/
+# span/pointer arithmetic, workspace reuse, arena spans, and byte-level
+# decode), and a UBSan build of the fused batch kernels and solver, warm
+# re-solves included — including the explicit AVX2/AVX-512 intrinsic TUs
 # via opt_simd_dispatch_test (the gate for the branch-free select
 # arithmetic in src/core/utility_kernels.hpp and the intrinsic kernels).
 # A dedicated -march=x86-64-v3 leg then rebuilds the tree with the wider
@@ -49,21 +49,22 @@ ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
 echo "== tier-2: ASan gate on linalg kernels + solver + rerouting + wire decoding =="
 ASAN_TESTS="linalg_sparse_test opt_objective_test opt_gradient_projection_test \
 opt_zero_alloc_test core_solver_test estimate_flow_inversion_test \
-serve_wire_test serve_tcp_fuzz_test routing_reroute_test"
+serve_wire_test serve_tcp_fuzz_test routing_reroute_test core_reoptimize_test"
 cmake -B "${PREFIX}-asan" -S . -DNETMON_SANITIZE=address
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target ${ASAN_TESTS}
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-  -R 'linalg_sparse_test|opt_objective_test|opt_gradient_projection_test|opt_zero_alloc_test|core_solver_test|estimate_flow_inversion_test|serve_wire_test|serve_tcp_fuzz_test|routing_reroute_test'
+  -R 'linalg_sparse_test|opt_objective_test|opt_gradient_projection_test|opt_zero_alloc_test|core_solver_test|estimate_flow_inversion_test|serve_wire_test|serve_tcp_fuzz_test|routing_reroute_test|core_reoptimize_test'
 
 echo "== tier-2: UBSan gate on the fused batch kernels + solver =="
 UBSAN_TESTS="core_utility_test opt_fused_eval_test opt_objective_test \
-opt_gradient_projection_test core_solver_test opt_simd_dispatch_test"
+opt_gradient_projection_test core_solver_test opt_simd_dispatch_test \
+core_reoptimize_test"
 cmake -B "${PREFIX}-ubsan" -S . -DNETMON_SANITIZE=undefined
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target ${UBSAN_TESTS}
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
-  -R 'core_utility_test|opt_fused_eval_test|opt_objective_test|opt_gradient_projection_test|core_solver_test|opt_simd_dispatch_test'
+  -R 'core_utility_test|opt_fused_eval_test|opt_objective_test|opt_gradient_projection_test|core_solver_test|opt_simd_dispatch_test|core_reoptimize_test'
 
 echo "== tier-2: x86-64-v3 leg — SIMD suites at every dispatch level =="
 # The wider baseline ISA lets the compiler auto-vectorize every TU; the

@@ -9,8 +9,10 @@
 # fast-math relative error above 1e-12.
 # A second section reruns scaling_perf (the 100k+-link instance) against
 # BENCH_scaling.json: the certified approximation gap is a hard <= 1%
-# cap, the 8-thread intra-solve speedup has a >= 2x floor on machines
-# with >= 8 hardware threads, and the scale timings get a wider (50%)
+# cap, the warm what-if from the approximate incumbent must certify
+# within the default 2000 iterations (hard), the 8-thread intra-solve
+# speedup has a >= 2x floor on machines with >= 8 hardware threads,
+# and the scale timings get a wider (50%)
 # regression band — second-scale wall times on a shared machine are
 # noisier than the ns-scale kernel minima.
 # A third section reruns ingest_perf against BENCH_ingest.json: the
@@ -189,6 +191,17 @@ if awk -v g="${gap_rel:-1}" 'BEGIN { exit (g <= 0.01) ? 0 : 1 }'; then
 else
   echo "perf_gate: FAIL gap_rel                ${gap_rel} (> 0.01 cap)"
   fail=1
+fi
+
+# The warm what-if from the approximate incumbent (its busiest monitor
+# failed) must certify within the library's default 2000 iterations.
+warm_certified="$(extract "${SCALING_TMP}" whatif_warm_certified)"
+warm_iters="$(extract "${SCALING_TMP}" whatif_warm_iters)"
+if [ "${warm_certified}" != "1" ]; then
+  echo "perf_gate: FAIL whatif_warm_certified: stopped uncertified after ${warm_iters:-?} iterations"
+  fail=1
+else
+  echo "perf_gate: ok   whatif_warm_certified  (${warm_iters} iterations)"
 fi
 
 # The parallel exact solve must stay bit-identical to serial at scale.

@@ -157,7 +157,7 @@ ApproxResult solve_approx(const PlacementProblem& problem,
       const opt::BoxBudgetConstraints sub_cons(sub.u, sub.alpha, theta_g[g]);
       std::vector<double> start(cols.size());
       for (std::size_t i = 0; i < cols.size(); ++i) start[i] = p[cols[i]];
-      start = sub_cons.project(start);
+      start = sub_cons.project_face(start);
       const opt::SolveResult sr =
           opt::maximize(sub_f, sub_cons, options.subsolver, &start);
       for (std::size_t i = 0; i < cols.size(); ++i) p[cols[i]] = sr.p[i];
@@ -197,8 +197,9 @@ ApproxResult solve_approx(const PlacementProblem& problem,
 
   // ---- Stitch + polish --------------------------------------------------
   // The stitched point meets the budget up to float drift; project back
-  // onto the exact feasible set before polishing/certifying.
-  p = cons.project(p);
+  // onto the exact feasible set (keeping its active set) before
+  // polishing/certifying.
+  p = cons.project_face(p);
 
   opt::SolveResult polished;
   polished.p = p;

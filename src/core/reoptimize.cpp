@@ -9,7 +9,7 @@ namespace netmon::core {
 std::vector<double> warm_start_point(const PlacementProblem& problem,
                                      const sampling::RateVector& previous) {
   const std::vector<double> compressed = problem.compress(previous);
-  return problem.constraints().project(compressed);
+  return problem.constraints().project_face(compressed);
 }
 
 PlacementSolution resolve_warm(const PlacementProblem& problem,

@@ -5,6 +5,14 @@
 // each other, so starting the gradient projection from the previous rates
 // (projected onto the new feasible set) converges in far fewer iterations
 // than the cold start — the ablation bench quantifies this.
+//
+// The projection keeps the previous placement's active set
+// (BoxBudgetConstraints::project_face): when a failure takes budget away
+// from the incumbent, its zero rates stay zero and only its monitors
+// grow. The solver releases wrongly active bounds in one KKT event but
+// activates bounds one per iteration, so lifting every zero to a small
+// positive rate, as the Euclidean projection does, can cost thousands of
+// iterations (DESIGN.md §8).
 #pragma once
 
 #include <span>
@@ -18,12 +26,15 @@ namespace netmon::core {
 
 /// Projects `previous` rates (full link-id space, e.g. from the placement
 /// that was running before the change) onto the new problem's feasible
-/// set — Euclidean projection onto {sum u p = theta, 0 <= p <= alpha} in
-/// candidate space — and returns the feasible candidate-space start.
+/// set {sum u p = theta, 0 <= p <= alpha} in candidate space, keeping
+/// their active set: zero rates stay zero while the budget grows, rates
+/// at alpha stay at alpha while it shrinks, and only when that face
+/// cannot carry theta is the start the plain Euclidean projection.
+/// Returns the feasible candidate-space start.
 std::vector<double> warm_start_point(const PlacementProblem& problem,
                                      const sampling::RateVector& previous);
 
-/// Solves the problem starting from the projected previous rates.
+/// Solves the problem starting from warm_start_point(problem, previous).
 /// `workspace` as in solve_placement: shared iteration scratch for
 /// repeated calls.
 PlacementSolution resolve_warm(const PlacementProblem& problem,

@@ -52,8 +52,34 @@ std::vector<double> BoxBudgetConstraints::initial_point() const {
 
 std::vector<double> BoxBudgetConstraints::project(
     std::span<const double> y) const {
+  return project_pinned(y, Pin::kNone);
+}
+
+std::vector<double> BoxBudgetConstraints::project_face(
+    std::span<const double> y) const {
+  NETMON_REQUIRE(y.size() == u_.size(), "dimension mismatch");
+  // Budget of clamp(y), and what each face can still carry: with the
+  // zeros pinned the budget reaches at most sum over y_j > 0 of u alpha;
+  // with the alpha coordinates pinned it falls to at least their sum.
+  double clamped = 0.0, grow_cap = 0.0, shrink_floor = 0.0;
+  for (std::size_t j = 0; j < u_.size(); ++j) {
+    clamped += u_[j] * std::clamp(y[j], 0.0, alpha_[j]);
+    if (y[j] > 0.0) grow_cap += u_[j] * alpha_[j];
+    if (y[j] >= alpha_[j]) shrink_floor += u_[j] * alpha_[j];
+  }
+  if (clamped < theta_ && grow_cap > theta_)
+    return project_pinned(y, Pin::kLower);
+  if (clamped > theta_ && shrink_floor < theta_)
+    return project_pinned(y, Pin::kUpper);
+  return project(y);
+}
+
+std::vector<double> BoxBudgetConstraints::project_pinned(
+    std::span<const double> y, Pin pin) const {
   NETMON_REQUIRE(y.size() == u_.size(), "dimension mismatch");
   auto clamped = [&](double lambda, std::size_t j) {
+    if (pin == Pin::kLower && y[j] <= 0.0) return 0.0;
+    if (pin == Pin::kUpper && y[j] >= alpha_[j]) return alpha_[j];
     return std::clamp(y[j] - lambda * u_[j], 0.0, alpha_[j]);
   };
   auto budget_at = [&](double lambda) {

@@ -37,7 +37,30 @@ class BoxBudgetConstraints {
   /// by bisection so the budget holds.
   std::vector<double> project(std::span<const double> y) const;
 
+  /// Warm-start projection: the Euclidean projection of `y` onto the face
+  /// of y's active set. When clamp(y, 0, alpha) is short of theta the
+  /// budget must grow, and every coordinate with y_j <= 0 stays at 0;
+  /// when it is over theta the budget must shrink, and every coordinate
+  /// with y_j >= alpha_j stays at alpha_j. When that face cannot carry
+  /// theta (or clamp(y) already meets it), returns project(y).
+  ///
+  /// The gradient projection solver releases every bound with a negative
+  /// KKT multiplier in one event but activates bounds one per iteration,
+  /// so a start with too many active bounds is cheap and a start with
+  /// too few is not: project() would lift every incumbent zero to
+  /// -lambda u_j > 0 and leave the solver to push them back one by one.
+  std::vector<double> project_face(std::span<const double> y) const;
+
  private:
+  /// Which bound coordinates project_pinned holds fixed.
+  enum class Pin { kNone, kLower, kUpper };
+  /// The bisection behind project() and project_face(): coordinates
+  /// pinned by `pin` (kLower: y_j <= 0 held at 0; kUpper: y_j >= alpha_j
+  /// held at alpha_j) stay put, the rest are clamp(y_j - lambda u_j).
+  /// Requires the free coordinates to be able to meet theta.
+  std::vector<double> project_pinned(std::span<const double> y,
+                                     Pin pin) const;
+
   std::vector<double> u_;
   std::vector<double> alpha_;
   double theta_;

@@ -41,6 +41,7 @@ void SeparableRestriction::reset(const SeparableConcaveObjective& f,
   NETMON_REQUIRE(x0.size() == n, "restriction inner-product size mismatch");
   NETMON_REQUIRE(d.size() == f.dimension(),
                  "restriction direction size mismatch");
+  bool reuse = f_ == &f && cls_.size() == n;
   f_ = &f;
   pool_ = pool;
 
@@ -51,66 +52,38 @@ void SeparableRestriction::reset(const SeparableConcaveObjective& f,
     linalg::spmv(f.matrix_, d, {rd_.data(), n});  // offsets drop in d/dt
   }
 
-  // Gather the active terms (rd_k != 0), partitioned for the vector
-  // kernels: by batch kernel first (first-appearance order; nullptr =
-  // per-term virtual dispatch is its own group), then — for piecewise
-  // families — by the pivot regime the term starts in at x0. Lane-
-  // uniform blocks let the kernels' uniform-regime fast paths (skip the
-  // division leg / the quadratic leg) hit on nearly every vector;
-  // mid-search regime migration is handled by their per-vector re-check,
-  // so the partition never affects results. The family pass count is
-  // tiny (a handful of kernels x two phases) and all buffers are
-  // grow-only, so repeated resets allocate nothing at steady state.
-  x0c_.clear();
-  rdc_.clear();
-  idx_.clear();
-  runs_.clear();
-  groups_.clear();
+  // Classify every term: inactive (rd_k == 0) or active, and for
+  // piecewise families the pivot regime it starts in at x0 (same quiet
+  // compare the kernels use). Single-regime families count as below.
+  cls_.resize(n);
   for (const auto& run : f.runs_) {
-    if (std::find(groups_.begin(), groups_.end(), run.kernel) ==
-        groups_.end()) {
-      groups_.push_back(run.kernel);
-    }
-  }
-  for (const Concave1d::BatchKernel* kernel : groups_) {
-    const std::size_t pivot = kernel != nullptr
-                                  ? kernel->pivot_param
+    const std::size_t pivot = run.kernel != nullptr
+                                  ? run.kernel->pivot_param
                                   : Concave1d::BatchKernel::kNoPivot;
-    const int phases = pivot == Concave1d::BatchKernel::kNoPivot ? 1 : 2;
-    for (int phase = 0; phase < phases; ++phase) {
-      for (const auto& run : f.runs_) {
-        if (run.kernel != kernel) continue;
-        for (std::size_t k = run.begin; k < run.end; ++k) {
-          if (rd_[k] == 0.0) continue;
-          if (phases == 2) {
-            // Phase 0 collects the below-pivot regime, phase 1 the rest;
-            // same quiet compare the kernels use.
-            const bool below = x0[k] < f.soa_[pivot * n + k];
-            if (below != (phase == 0)) continue;
-          }
-          const std::size_t slot = x0c_.size();
-          if (!runs_.empty() && runs_.back().kernel == kernel &&
-              runs_.back().end == slot) {
-            runs_.back().end = slot + 1;
-          } else {
-            runs_.push_back({kernel, slot, slot + 1});
-          }
-          x0c_.push_back(x0[k]);
-          rdc_.push_back(rd_[k]);
-          idx_.push_back(k);
-        }
+    const double* pivots = pivot == Concave1d::BatchKernel::kNoPivot
+                                ? nullptr
+                                : f.soa_.data() + pivot * n;
+    for (std::size_t k = run.begin; k < run.end; ++k) {
+      std::uint8_t c = kInactive;
+      if (rd_[k] != 0.0) {
+        c = pivots == nullptr || x0[k] < pivots[k] ? kBelowPivot
+                                                    : kAbovePivot;
       }
+      reuse = reuse && c == cls_[k];
+      cls_[k] = c;
     }
   }
+  if (!reuse) partition(f);
+  reused_ = reuse;
 
-  // Compact SoA coefficient table: parameter j of slot i at soa_[j*m+i],
-  // gathered from the objective's full-width table.
-  const std::size_t m = x0c_.size();
-  soa_.resize(Concave1d::kBatchParamCount * m);
+  // Gather the search's x0 and rd into the (possibly reused) slots.
+  const std::size_t m = idx_.size();
+  x0c_.resize(m);
+  rdc_.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
     const std::size_t k = idx_[i];
-    for (std::size_t j = 0; j < Concave1d::kBatchParamCount; ++j)
-      soa_[j * m + i] = f.soa_[j * n + k];
+    x0c_[i] = x0[k];
+    rdc_[i] = rd_[k];
   }
   xt_.resize(m);
   m1_.resize(m);
@@ -128,6 +101,61 @@ void SeparableRestriction::reset(const SeparableConcaveObjective& f,
       sum += m2_at_x0[idx_[i]] * r * r;
     }
     second0_ = sum;
+  }
+}
+
+void SeparableRestriction::partition(const SeparableConcaveObjective& f) {
+  // Compact slots of the active terms, partitioned for the vector
+  // kernels: by batch kernel first (first-appearance order; nullptr =
+  // per-term virtual dispatch is its own group), then — for piecewise
+  // families — below-pivot terms before above-pivot ones. Lane-uniform
+  // blocks let the kernels' uniform-regime fast paths (skip the division
+  // leg / the quadratic leg) hit on nearly every vector; mid-search
+  // regime migration is handled by their per-vector re-check, so the
+  // partition never affects results. The family pass count is tiny (a
+  // handful of kernels x two phases) and all buffers are grow-only, so
+  // repeated rebuilds allocate nothing at steady state.
+  idx_.clear();
+  runs_.clear();
+  groups_.clear();
+  for (const auto& run : f.runs_) {
+    if (std::find(groups_.begin(), groups_.end(), run.kernel) ==
+        groups_.end()) {
+      groups_.push_back(run.kernel);
+    }
+  }
+  for (const Concave1d::BatchKernel* kernel : groups_) {
+    const bool piecewise =
+        kernel != nullptr &&
+        kernel->pivot_param != Concave1d::BatchKernel::kNoPivot;
+    const std::uint8_t last = piecewise ? kAbovePivot : kBelowPivot;
+    for (std::uint8_t want = kBelowPivot; want <= last; ++want) {
+      for (const auto& run : f.runs_) {
+        if (run.kernel != kernel) continue;
+        for (std::size_t k = run.begin; k < run.end; ++k) {
+          if (cls_[k] != want) continue;
+          const std::size_t slot = idx_.size();
+          if (!runs_.empty() && runs_.back().kernel == kernel &&
+              runs_.back().end == slot) {
+            runs_.back().end = slot + 1;
+          } else {
+            runs_.push_back({kernel, slot, slot + 1});
+          }
+          idx_.push_back(k);
+        }
+      }
+    }
+  }
+
+  // Compact SoA coefficient table: parameter j of slot i at soa_[j*m+i],
+  // gathered from the objective's full-width table.
+  const std::size_t n = f.term_count();
+  const std::size_t m = idx_.size();
+  soa_.resize(Concave1d::kBatchParamCount * m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t k = idx_[i];
+    for (std::size_t j = 0; j < Concave1d::kBatchParamCount; ++j)
+      soa_[j * m + i] = f.soa_[j * n + k];
   }
 }
 

@@ -25,9 +25,21 @@
 // every vector. Probes can migrate terms across the pivot as t moves, so
 // the partition is a strong hint, not an invariant; the kernels re-check
 // per vector and blend on mixed vectors, which keeps them bit-exact.
+//
+// Consecutive searches of one solve usually share that partition: while
+// the active set holds, the same terms have rd_k != 0 and few cross a
+// pivot. reset() therefore records each term's class (inactive, below
+// or above its pivot) and, when no class changed since the previous
+// reset on the same objective, keeps the slot order, the runs and the
+// compact coefficient table, re-gathering only x0 and rd. The slot order
+// is a pure function of the classes, so the reuse is bit-identical to a
+// rebuild. The objective is identified by address, which a later problem
+// can share; invalidate() drops the partition (maximize() calls it at
+// every entry).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -48,7 +60,8 @@ class SeparableRestriction final : public Phi {
   /// from the solver's fused evaluation at p) is non-empty, phi''(0) is
   /// precomputed from it so the Newton first step costs no extra kernel
   /// pass. All buffers are grow-only: repeated resets on problems of the
-  /// same size allocate nothing.
+  /// same size allocate nothing. When every term keeps its class from
+  /// the previous reset on `f`, the partition is reused (see above).
   ///
   /// A non-null `pool` shards the rd spmv and each probe's elementwise
   /// work (xt fill + kernel sub-ranges) across it; the probe sums stay
@@ -58,6 +71,11 @@ class SeparableRestriction final : public Phi {
              std::span<const double> d,
              std::span<const double> m2_at_x0 = {},
              runtime::ThreadPool* pool = nullptr);
+
+  /// Forgets the partition, so the next reset rebuilds it. Required
+  /// before resetting on a different objective that may live at the
+  /// address of the previous one.
+  void invalidate() { f_ = nullptr; }
 
   /// One batched pass over the active terms; no matrix traversal.
   Derivs derivs(double t) override;
@@ -71,6 +89,9 @@ class SeparableRestriction final : public Phi {
   /// Number of terms participating in the probes (rd_k != 0).
   std::size_t active_terms() const { return x0c_.size(); }
 
+  /// Whether the last reset kept the previous partition.
+  bool reused_partition() const { return reused_; }
+
  private:
   /// A maximal group of consecutive compact slots sharing a batch kernel
   /// (nullptr = per-term virtual dispatch via idx_).
@@ -79,6 +100,12 @@ class SeparableRestriction final : public Phi {
     std::size_t begin = 0;
     std::size_t end = 0;
   };
+
+  /// Term classes of the partition; kInactive marks rd_k == 0.
+  enum : std::uint8_t { kInactive = 0, kBelowPivot = 1, kAbovePivot = 2 };
+
+  /// Rebuilds idx_/runs_/soa_ from the classes in cls_.
+  void partition(const SeparableConcaveObjective& f);
 
   /// Fills xt_/m1_/m2_ for compact slots [begin, end) at probe point t.
   /// The dispatch level and fast-math flag are hoisted by the caller so
@@ -98,12 +125,14 @@ class SeparableRestriction final : public Phi {
   util::PageVector<double> m1_;   // probe M'
   util::PageVector<double> m2_;   // probe M''
   std::vector<std::size_t> idx_;  // original term per compact slot
+  std::vector<std::uint8_t> cls_;  // class per term at the last reset
   std::vector<CompactRun> runs_;
   // Distinct batch kernels in first-appearance order — the gather's
   // family partition; grow-only scratch reused across resets.
   std::vector<const Concave1d::BatchKernel*> groups_;
   double second0_ = 0.0;
   bool have_second0_ = false;
+  bool reused_ = false;
 };
 
 }  // namespace netmon::opt

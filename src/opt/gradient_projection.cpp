@@ -154,6 +154,10 @@ SolveResult maximize(const Objective& f,
   std::vector<double>& s_prev = ws.s_prev;
   std::vector<double>& d_prev = ws.d_prev;
   bool have_prev = false;
+  // The restriction keeps its term partition across resets on the same
+  // objective; a reused workspace may hold one from another problem
+  // that lived at this objective's address.
+  ws.restriction.invalidate();
 
   // Full inner-product recompute, sharded when the pool is engaged.
   auto refresh_inner = [&] {

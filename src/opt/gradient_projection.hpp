@@ -125,7 +125,9 @@ struct SolverWorkspace {
   std::vector<double> d_prev;   // previous direction (PR mixing)
   std::vector<double> dir_tmp;  // re-projection scratch for mixed d
   std::vector<double> x;        // maintained inner products (fused path)
-  SeparableRestriction restriction;  // line-search probes (fused path)
+  // Line-search probes (fused path). Keeps its term partition across
+  // the searches of one solve; maximize() invalidates it on entry.
+  SeparableRestriction restriction;
   KktReport kkt;
 };
 

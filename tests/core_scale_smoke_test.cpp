@@ -11,6 +11,7 @@
 #include "core/approx.hpp"
 #include "core/batch_solver.hpp"
 #include "core/partition.hpp"
+#include "core/reoptimize.hpp"
 #include "core/scale_scenario.hpp"
 #include "core/solver.hpp"
 #include "runtime/thread_pool.hpp"
@@ -140,6 +141,32 @@ TEST(ScaleSmoke, ApproxTierCertifiesWithinOnePercent) {
   // Feasibility of the stitched + polished placement.
   EXPECT_NEAR(result.solution.budget_used, problem.theta(),
               1e-6 * problem.theta());
+}
+
+// Failing the busiest monitor of the approximate incumbent leaves the
+// warm start short of theta. Keeping the incumbent's zeros at zero, the
+// warm solve certifies within the library's default 2000 iterations (on
+// the 100k-link instance the Euclidean start needed ~12k; see
+// bench/scaling_perf.cpp).
+TEST(ScaleSmoke, WarmWhatIfOfIncumbentMonitorCertifiesAtDefaultCap) {
+  const ScaleScenario scenario = make_scale_scenario(smoke_options());
+  ProblemOptions options;
+  options.theta = default_scale_theta(scenario);
+  const PlacementProblem problem = make_problem(scenario, options);
+  const ApproxResult incumbent = solve_approx(
+      problem, partition_by_region(problem, scenario.net));
+  const sampling::RateVector& rates = incumbent.solution.rates;
+  const topo::LinkId busiest = *std::max_element(
+      problem.candidates().begin(), problem.candidates().end(),
+      [&](topo::LinkId a, topo::LinkId b) { return rates[a] < rates[b]; });
+  ASSERT_GT(rates[busiest], 0.0);
+
+  options.failed = {busiest};
+  const PlacementProblem failed = make_problem(scenario, options);
+  const PlacementSolution warm = resolve_warm(failed, rates);
+  EXPECT_EQ(warm.status, opt::SolveStatus::kOptimal);
+  EXPECT_LE(warm.iterations, opt::SolverOptions{}.max_iterations);
+  EXPECT_NEAR(warm.budget_used, failed.theta(), 1e-6 * failed.theta());
 }
 
 TEST(ScaleSmoke, BatchSolverRoutesLargeInstancesToTheApproxTier) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -271,6 +272,60 @@ TEST(Restriction, SecondAtZeroUsesProvidedCurvature) {
   EXPECT_EQ(with_m2.second_at_zero(), without_m2.second_at_zero());
 }
 
+// Resets that keep every term's class (inactive, below or above its
+// pivot) reuse the partition; any flip rebuilds it. Either way every
+// probe must equal a fresh restriction's bit for bit.
+TEST(Restriction, ReusedPartitionMatchesFreshResetBitwise) {
+  const RandomObjective r(61, 25, 240, 1);
+  const auto& f = *r.f;
+  const std::size_t n = f.dimension();
+  Rng rng(9);
+  std::vector<double> d_full(n), d_sparse(n, 0.0);
+  for (double& dj : d_full) dj = rng.uniform(-1.0, 1.0);
+  // Only five coordinates move: terms off them drop out (rd_k == 0).
+  for (std::size_t j = 0; j < 5; ++j) d_sparse[j] = d_full[j];
+  std::vector<double> p_nudged = r.p, p_doubled = r.p;
+  for (double& pj : p_nudged) pj += 1e-12;
+  for (double& pj : p_doubled) pj *= 2.0;  // pushes terms past the pivot
+
+  struct Step {
+    const std::vector<double>* p;
+    const std::vector<double>* d;
+    bool reused;  // expected: no term changed class
+  };
+  const Step steps[] = {
+      {&r.p, &d_full, false},          {&p_nudged, &d_full, true},
+      {&p_nudged, &d_sparse, false},   {&r.p, &d_sparse, true},
+      {&p_doubled, &d_sparse, false},  {&p_doubled, &d_full, false},
+      {&p_doubled, &d_full, true},
+  };
+  SeparableRestriction reused;
+  linalg::EvalWorkspace ws;
+  std::vector<double> g(n);
+  for (std::size_t i = 0; i < std::size(steps); ++i) {
+    const Step& step = steps[i];
+    const std::vector<double> x0 = f.inner(*step.p);
+    const auto fe = f.fused_eval(*step.p, g, ws);
+    // Alternate with and without the caller's curvature.
+    const std::span<const double> m2 =
+        i % 2 == 0 ? fe.m2 : std::span<const double>{};
+    reused.reset(f, x0, *step.d, m2);
+    SeparableRestriction fresh;
+    fresh.reset(f, x0, *step.d, m2);
+    EXPECT_EQ(reused.reused_partition(), step.reused) << "step " << i;
+    EXPECT_FALSE(fresh.reused_partition());
+    ASSERT_EQ(reused.active_terms(), fresh.active_terms()) << "step " << i;
+    EXPECT_EQ(reused.second_at_zero(), fresh.second_at_zero())
+        << "step " << i;
+    for (const double t : {0.0, 1e-4, 5e-4}) {
+      const Phi::Derivs a = reused.derivs(t);
+      const Phi::Derivs b = fresh.derivs(t);
+      EXPECT_EQ(a.first, b.first) << "step " << i << " t=" << t;
+      EXPECT_EQ(a.second, b.second) << "step " << i << " t=" << t;
+    }
+  }
+}
+
 TEST(IncrementalRho, ColumnAxpyMatchesFullRecompute) {
   const RandomObjective r(55, 30, 200, 1);
   const auto& f = *r.f;
@@ -321,6 +376,60 @@ TEST(Solver, FusedAndGenericPathsAgree) {
   EXPECT_EQ(scalar_run.iterations, simd_run.iterations);
   for (std::size_t j = 0; j < scalar_run.p.size(); ++j)
     EXPECT_EQ(scalar_run.p[j], simd_run.p[j]) << "rate @" << j;
+}
+
+// A workspace reused across solves of different objectives that live at
+// the same address (a caller rebuilding its problem in place, as the
+// control loop does every bin) must not probe with the previous
+// objective's line-search partition. Same structure, same classes,
+// different coefficients: only maximize()'s invalidation tells them apart.
+TEST(Solver, SharedWorkspaceMatchesFreshAcrossSameAddressObjectives) {
+  Rng rng(808);
+  const std::size_t n = 30, terms = 90;
+  SeparableConcaveObjective::SparseRows rows(terms);
+  std::vector<std::shared_ptr<const Concave1d>> utilities_a, utilities_b;
+  for (std::size_t k = 0; k < terms; ++k) {
+    const std::size_t nnz = 1 + rng.below(4);
+    for (std::size_t i = 0; i < nnz; ++i)
+      rows[k].emplace_back(rng.below(n), rng.uniform(0.2, 1.5));
+    utilities_a.push_back(
+        std::make_shared<core::LogUtility>(rng.uniform(0.001, 0.02)));
+    utilities_b.push_back(
+        std::make_shared<core::LogUtility>(rng.uniform(0.001, 0.02)));
+  }
+  std::vector<double> u(n), alpha(n, 1.0);
+  double budget = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    u[j] = rng.uniform(0.5, 2.0);
+    budget += u[j];
+  }
+  const BoxBudgetConstraints constraints(std::move(u), std::move(alpha),
+                                         0.3 * budget);
+
+  // A one-iteration solve (a cancelled request) leaves the all-active
+  // partition of the uniform start behind; the next objective's first
+  // search, from the same start, has the same classes.
+  SolverOptions first;
+  first.max_iterations = 1;
+  std::optional<SeparableConcaveObjective> f;
+  SolverWorkspace shared;
+  const auto expect_same = [](const SolveResult& a, const SolveResult& b) {
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.value, b.value);
+    EXPECT_EQ(a.lambda, b.lambda);
+    EXPECT_EQ(a.p, b.p);
+  };
+  for (const auto* utilities : {&utilities_a, &utilities_b, &utilities_a}) {
+    f.emplace(n, rows, *utilities);
+    for (const SolverOptions& options : {SolverOptions{}, first}) {
+      const SolveResult reused =
+          maximize(*f, constraints, options, nullptr, &shared);
+      SolverWorkspace fresh;
+      expect_same(reused,
+                  maximize(*f, constraints, options, nullptr, &fresh));
+    }
+  }
 }
 
 TEST(Solver, FusedPathHandlesOffsetsAndRandomInstances) {

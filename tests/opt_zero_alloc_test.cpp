@@ -272,6 +272,27 @@ TEST(ZeroAlloc, RestrictionProbesAfterWarmReset) {
             0u);
 }
 
+// A reset whose terms all keep their class reuses the partition and only
+// re-gathers x0 and rd into the existing slots.
+TEST(ZeroAlloc, RestrictionPartitionReuseAllocatesNothing) {
+  const GeantFixture fx;
+  const auto& f = fx.problem.objective();
+  const std::vector<double> p = fx.interior_point();
+  const std::vector<double> x0 = f.inner(p);
+  const std::vector<double> d(f.dimension(), 0.1);
+  const std::vector<double> d_scaled(f.dimension(), 0.2);  // same support
+
+  SeparableRestriction restriction;
+  restriction.reset(f, x0, d);
+  (void)restriction.derivs(1e-5);
+  EXPECT_EQ(allocations_in([&] {
+              restriction.reset(f, x0, d_scaled);
+              (void)restriction.derivs(1e-5);
+            }),
+            0u);
+  EXPECT_TRUE(restriction.reused_partition());
+}
+
 TEST(ZeroAlloc, InPlaceKktReusesReportCapacity) {
   const GeantFixture fx;
   const auto& f = fx.problem.objective();
