@@ -13,6 +13,14 @@ namespace netmon::ingest {
 
 namespace {
 
+// How long a consumer shard that found all its rings empty sleeps
+// before scanning again. Consumers outpace producers, so a shard that
+// yield-spun instead stayed runnable and competed with the producers
+// for cores; sleeping leaves those cores to the producers. 50 us (the
+// kernel's timer slack roughly doubles it) is far below the time a
+// producer needs to fill a default 8192-slot ring.
+constexpr std::chrono::microseconds kConsumerIdleSleep{50};
+
 std::vector<double> pow2_bounds(double lo, double hi) {
   std::vector<double> bounds;
   for (double b = lo; b <= hi; b *= 2.0) bounds.push_back(b);
@@ -116,21 +124,21 @@ void IngestPipeline::add_sources(
 void IngestPipeline::producer_loop(std::size_t producer_index,
                                    unsigned producer_count) {
   const obs::Clock* clock = deps_.clock;
-  std::vector<PacketRecord> buffer(options_.batch);
-  // Pending [off, len) of `buffer` per owned source would force one
-  // buffer each; instead each source keeps its own staging vector only
-  // under the blocking policy where partial pushes can strand records.
+  // Each owned source has its own staging batch, filled in place by
+  // next_batch; [off, len) is what has not reached the ring yet (under
+  // the blocking policy a partial push strands the rest there).
   struct Slot {
     SourceState* state = nullptr;
     std::vector<PacketRecord> pending;
     std::size_t off = 0;
+    std::size_t len = 0;
   };
   std::vector<Slot> slots;
   for (std::size_t i = producer_index; i < sources_.size();
        i += producer_count) {
     Slot slot;
     slot.state = sources_[i].get();
-    slot.pending.reserve(options_.batch);
+    slot.pending.resize(options_.batch);
     slots.push_back(std::move(slot));
   }
 
@@ -140,31 +148,30 @@ void IngestPipeline::producer_loop(std::size_t producer_index,
     for (Slot& slot : slots) {
       SourceState& s = *slot.state;
       // Refill the slot's staging batch from the source.
-      if (slot.off == slot.pending.size() && !s.source->exhausted()) {
+      if (slot.off == slot.len && !s.source->exhausted()) {
         const auto t0 = (produce_batch_ns_ && clock != nullptr)
                             ? clock->now()
                             : obs::TimePoint{};
         const std::size_t n =
-            s.source->next_batch(buffer.data(), options_.batch);
+            s.source->next_batch(slot.pending.data(), options_.batch);
         if (produce_batch_ns_ && clock != nullptr)
           produce_batch_ns_.observe(static_cast<double>(
               obs::to_ns(clock->now()) - obs::to_ns(t0)));
         if (n > 0) {
-          slot.pending.assign(buffer.begin(),
-                              buffer.begin() + static_cast<long>(n));
           slot.off = 0;
+          slot.len = n;
           s.produced += n;
           packets_total_.inc(n);
           progress = true;
         }
       }
       // Move staged records into the ring under the overflow policy.
-      if (slot.off < slot.pending.size()) {
-        const std::size_t want = slot.pending.size() - slot.off;
+      if (slot.off < slot.len) {
+        const std::size_t want = slot.len - slot.off;
         std::size_t moved;
         if (options_.overflow == OverflowPolicy::kDrop) {
           moved = s.ring->push_or_drop(slot.pending.data() + slot.off, want);
-          slot.off = slot.pending.size();  // overflow is gone, counted
+          slot.off = slot.len;  // overflow is gone, counted
         } else {
           moved = s.ring->try_push(slot.pending.data() + slot.off, want);
           slot.off += moved;
@@ -175,8 +182,7 @@ void IngestPipeline::producer_loop(std::size_t producer_index,
             ring_occupancy_.observe(static_cast<double>(s.ring->size()));
         }
       }
-      if (!(s.source->exhausted() && slot.off == slot.pending.size()))
-        done = false;
+      if (!(s.source->exhausted() && slot.off == slot.len)) done = false;
     }
     if (done) break;
     if (!progress) std::this_thread::yield();
@@ -233,7 +239,7 @@ void IngestPipeline::consumer_loop(std::size_t shard_index,
     }
     if (progress) continue;
     if (producers_done) break;
-    std::this_thread::yield();
+    std::this_thread::sleep_for(kConsumerIdleSleep);
   }
   // End of stream: expire and export everything still cached.
   for (SourceState* state : owned) state->table->flush(state->last_ts);

@@ -1,8 +1,10 @@
 #include "ingest/synthetic.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
+#include "util/page_alloc.hpp"
 
 namespace netmon::ingest {
 
@@ -24,102 +26,198 @@ bool flow_crosses(const traffic::FlowKey& key, topo::LinkId link,
   return u < fraction;
 }
 
-}  // namespace
-
-/// Replays one link's schedule: a min-heap over the active spans keyed
-/// by next emission time, activated lazily in start order. No allocation
-/// after construction (the heap vector is reserved to the span count).
-class SyntheticLinkSource final : public PacketSource {
+/// Replays one link's schedule with a calendar queue. The link's time
+/// range [first_sec, last_sec] is cut into buckets_ fixed-width buckets
+/// (about kPacketsPerBucket scheduled packets each). A span is
+/// activated in the bucket of its start time and kept in that bucket's
+/// intrusive list (head_ + Entry::next); processing bucket b emits, per
+/// listed span, every packet whose timestamp still falls in b, relinks
+/// the span into the bucket of its next emission, then sorts b's
+/// emissions by (ts, span index, packet index). bucket_of is monotone
+/// in ts (subtract, scale by a positive constant, clamp, truncate), so
+/// bucket-major order sorted within each bucket is the global (ts, span
+/// index) order. No allocation after construction: the emission scratch
+/// is reserved to the link's packet total, an upper bound on any one
+/// bucket, in a LazyPageVector so its untouched pages never become
+/// resident.
+class CalendarReplay final : public PacketSource {
  public:
-  SyntheticLinkSource(topo::LinkId link,
-                      const std::vector<SyntheticTraffic::PacketSpan>* spans)
-      : link_(link), spans_(spans) {
-    heap_.reserve(spans_->size());
+  CalendarReplay(topo::LinkId link, const LinkSchedule& schedule)
+      : link_(link),
+        schedule_(&schedule),
+        buckets_(static_cast<std::size_t>(std::max<std::uint64_t>(
+            1, (schedule.packets + kPacketsPerBucket - 1) /
+                   kPacketsPerBucket))),
+        last_bucket_(static_cast<double>(buckets_ - 1)),
+        first_sec_(schedule.first_sec),
+        head_(buckets_, kNone),
+        // Written on activation, never read before: left uninitialised.
+        entries_(std::make_unique_for_overwrite<Entry[]>(
+            schedule.spans.size())) {
+    NETMON_REQUIRE(schedule.spans.size() < kNone,
+                   "too many spans on one link");
+    const double width = schedule.last_sec - schedule.first_sec;
+    inv_width_ = width > 0.0 ? static_cast<double>(buckets_) / width : 0.0;
+    emitted_.reserve(static_cast<std::size_t>(schedule.packets));
   }
 
   topo::LinkId link() const noexcept override { return link_; }
 
   std::size_t next_batch(PacketRecord* out, std::size_t max) override {
-    const auto& spans = *spans_;
+    const std::vector<PacketSpan>& spans = schedule_->spans;
     std::size_t n = 0;
     while (n < max) {
-      // Activate every span due at or before the emission front; with an
-      // empty heap the front is the next span's own start.
-      while (next_span_ < spans.size() &&
-             (heap_.empty() ||
-              spans[next_span_].start_sec <= heap_.front().next_ts)) {
-        heap_.push_back(Active{spans[next_span_].start_sec,
-                               static_cast<std::uint32_t>(next_span_),
-                               spans[next_span_].packets});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
-        ++next_span_;
+      if (cursor_ == emitted_.size() && !fill_next_bucket()) break;
+      const std::size_t take = std::min(max - n, emitted_.size() - cursor_);
+      for (std::size_t i = 0; i < take; ++i) {
+        const Emission& e = emitted_[cursor_ + i];
+        const auto index = static_cast<std::uint32_t>(e.order >> 32);
+        const auto seq = static_cast<std::uint32_t>(e.order);
+        const PacketSpan& span = spans[index];
+        PacketRecord& record = out[n + i];
+        record.key = span.key;
+        record.bytes = span.pkt_bytes;
+        record.flags =
+            (span.fin_last && seq + 1 == span.packets) ? kPacketFin : 0;
+        record.ts_sec = e.ts;
       }
-      if (heap_.empty()) break;
-
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Active& active = heap_.back();
-      const SyntheticTraffic::PacketSpan& span = spans[active.span];
-      PacketRecord& record = out[n++];
-      record.key = span.key;
-      record.bytes = span.pkt_bytes;
-      record.flags =
-          (span.fin_last && active.remaining == 1) ? kPacketFin : 0;
-      record.ts_sec = active.next_ts;
-      if (--active.remaining == 0) {
-        heap_.pop_back();
-      } else {
-        active.next_ts += span.dt_sec;
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
-      }
+      cursor_ += take;
+      n += take;
     }
+    delivered_ += n;
     return n;
   }
 
   bool exhausted() const noexcept override {
-    return heap_.empty() && next_span_ >= spans_->size();
+    return delivered_ == schedule_->packets;
   }
 
  private:
-  struct Active {
-    double next_ts = 0.0;
-    std::uint32_t span = 0;
-    std::uint32_t remaining = 0;
+  static constexpr std::uint64_t kPacketsPerBucket = 16;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// An active span: its next emission and its link in a bucket list.
+  /// No member initialisers, so make_unique_for_overwrite skips them.
+  struct Entry {
+    double next_ts;
+    std::uint32_t remaining;
+    std::uint32_t next;
   };
-  /// Min-heap order on (time, span index) — the index tie-break keeps
-  /// the emission order fully deterministic.
-  struct Later {
-    bool operator()(const Active& a, const Active& b) const noexcept {
-      if (a.next_ts != b.next_ts) return a.next_ts > b.next_ts;
-      return a.span > b.span;
+  /// One staged packet; order = span index << 32 | packet index.
+  struct Emission {
+    double ts;
+    std::uint64_t order;
+  };
+
+  std::size_t bucket_of(double ts) const noexcept {
+    // Clamp in double before the cast (an out-of-range conversion is
+    // UB); `x > 0.0` also sends a NaN to bucket 0.
+    double x = (ts - first_sec_) * inv_width_;
+    x = x > 0.0 ? x : 0.0;
+    x = x < last_bucket_ ? x : last_bucket_;
+    return static_cast<std::size_t>(x);
+  }
+
+  /// Stages the next non-empty bucket's emissions, sorted; false once
+  /// every scheduled packet has been staged.
+  bool fill_next_bucket() {
+    const std::vector<PacketSpan>& spans = schedule_->spans;
+    emitted_.clear();
+    cursor_ = 0;
+    while (emitted_.empty()) {
+      if (staged_ == schedule_->packets || bucket_ == buckets_) return false;
+      const std::size_t b = bucket_++;
+      // Activate the spans starting in this bucket (starts are sorted,
+      // so every earlier start was activated in an earlier bucket).
+      while (next_span_ < spans.size() &&
+             bucket_of(spans[next_span_].start_sec) <= b) {
+        Entry& entry = entries_[next_span_];
+        entry.next_ts = spans[next_span_].start_sec;
+        entry.remaining = spans[next_span_].packets;
+        entry.next = head_[b];
+        head_[b] = static_cast<std::uint32_t>(next_span_);
+        ++next_span_;
+      }
+      std::uint32_t i = std::exchange(head_[b], kNone);
+      while (i != kNone) {
+        Entry& entry = entries_[i];
+        const std::uint32_t following = entry.next;
+        const PacketSpan& span = spans[i];
+        // Every listed span's next emission falls in b.
+        std::size_t to = b;
+        do {
+          emitted_.push_back(
+              {entry.next_ts, std::uint64_t{i} << 32 |
+                                  (span.packets - entry.remaining)});
+          entry.next_ts += span.dt_sec;
+        } while (--entry.remaining > 0 &&
+                 (to = bucket_of(entry.next_ts)) == b);
+        if (entry.remaining > 0) {
+          entry.next = head_[to];
+          head_[to] = i;
+        }
+        i = following;
+      }
+      staged_ += emitted_.size();
     }
-  };
+    std::sort(emitted_.begin(), emitted_.end(),
+              [](const Emission& a, const Emission& b) {
+                return a.ts != b.ts ? a.ts < b.ts : a.order < b.order;
+              });
+    return true;
+  }
 
   topo::LinkId link_;
-  const std::vector<SyntheticTraffic::PacketSpan>* spans_;
-  std::vector<Active> heap_;
+  const LinkSchedule* schedule_;
+  std::size_t buckets_;
+  double last_bucket_;
+  double first_sec_;
+  double inv_width_ = 0.0;
+  std::vector<std::uint32_t> head_;
+  std::unique_ptr<Entry[]> entries_;
+  util::LazyPageVector<Emission> emitted_;
+  std::size_t cursor_ = 0;
+  std::size_t bucket_ = 0;
   std::size_t next_span_ = 0;
+  std::uint64_t staged_ = 0;
+  std::uint64_t delivered_ = 0;
 };
 
-SyntheticTraffic::SyntheticTraffic(const routing::RoutingMatrix& matrix,
-                                   const traffic::TrafficMatrix& tm,
-                                   SyntheticOptions options)
-    : options_(options), spans_(matrix.link_count()) {
-  NETMON_REQUIRE(tm.size() == matrix.od_count(),
-                 "traffic matrix rows must match routing-matrix ODs");
-  Rng rng(options_.seed);
-  flows_ = traffic::generate_all_flows(rng, tm, options_.flowgen);
+}  // namespace
 
-  for (std::size_t k = 0; k < flows_.size(); ++k) {
+void LinkSchedule::finalize() {
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const PacketSpan& a, const PacketSpan& b) {
+                     return a.start_sec < b.start_sec;
+                   });
+  packets = 0;
+  first_sec = spans.empty() ? 0.0 : spans.front().start_sec;
+  last_sec = first_sec;
+  for (const PacketSpan& span : spans) {
+    NETMON_REQUIRE(span.packets > 0, "a scheduled span carries no packets");
+    packets += span.packets;
+    last_sec = std::max(
+        last_sec, span.start_sec + (span.packets - 1) * span.dt_sec);
+  }
+}
+
+std::vector<LinkSchedule> build_link_schedules(
+    const routing::RoutingMatrix& matrix,
+    const std::vector<std::vector<traffic::Flow>>& flows,
+    std::uint32_t min_packet_bytes) {
+  NETMON_REQUIRE(flows.size() == matrix.od_count(),
+                 "flow populations must match routing-matrix ODs");
+  std::vector<LinkSchedule> schedules(matrix.link_count());
+  for (std::size_t k = 0; k < flows.size(); ++k) {
     const auto row = matrix.row(k);
-    for (const traffic::Flow& flow : flows_[k]) {
+    for (const traffic::Flow& flow : flows[k]) {
       PacketSpan span;
       span.key = flow.key;
       span.packets = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(flow.packets, 0xffffffffULL));
       if (span.packets == 0) continue;
-      span.pkt_bytes = static_cast<std::uint32_t>(
-          std::max<std::uint64_t>(flow.bytes / flow.packets,
-                                  options_.min_packet_bytes));
+      span.pkt_bytes = static_cast<std::uint32_t>(std::max<std::uint64_t>(
+          flow.bytes / flow.packets, min_packet_bytes));
       span.start_sec = flow.start_sec;
       span.dt_sec = flow.end_sec > flow.start_sec
                         ? (flow.end_sec - flow.start_sec) / span.packets
@@ -128,40 +226,51 @@ SyntheticTraffic::SyntheticTraffic(const routing::RoutingMatrix& matrix,
       for (const auto& [column, fraction] : row) {
         const auto link = static_cast<topo::LinkId>(column);
         if (!flow_crosses(flow.key, link, fraction)) continue;
-        spans_[link].push_back(span);
+        schedules[link].spans.push_back(span);
       }
     }
   }
-  for (auto& link_spans : spans_) {
-    std::stable_sort(link_spans.begin(), link_spans.end(),
-                     [](const PacketSpan& a, const PacketSpan& b) {
-                       return a.start_sec < b.start_sec;
-                     });
-  }
+  for (LinkSchedule& schedule : schedules) schedule.finalize();
+  return schedules;
+}
+
+std::unique_ptr<PacketSource> replay_schedule(topo::LinkId link,
+                                              const LinkSchedule& schedule) {
+  return std::make_unique<CalendarReplay>(link, schedule);
+}
+
+SyntheticTraffic::SyntheticTraffic(const routing::RoutingMatrix& matrix,
+                                   const traffic::TrafficMatrix& tm,
+                                   SyntheticOptions options)
+    : options_(options) {
+  NETMON_REQUIRE(tm.size() == matrix.od_count(),
+                 "traffic matrix rows must match routing-matrix ODs");
+  Rng rng(options_.seed);
+  flows_ = traffic::generate_all_flows(rng, tm, options_.flowgen);
+  schedules_ =
+      build_link_schedules(matrix, flows_, options_.min_packet_bytes);
 }
 
 std::unique_ptr<PacketSource> SyntheticTraffic::source(
     topo::LinkId link) const {
-  NETMON_REQUIRE(link < spans_.size(), "link id out of range");
-  return std::make_unique<SyntheticLinkSource>(link, &spans_[link]);
+  NETMON_REQUIRE(link < schedules_.size(), "link id out of range");
+  return replay_schedule(link, schedules_[link]);
 }
 
 std::vector<std::unique_ptr<PacketSource>> SyntheticTraffic::sources(
     const sampling::RateVector& rates) const {
   std::vector<std::unique_ptr<PacketSource>> out;
-  for (std::size_t link = 0; link < spans_.size(); ++link) {
+  for (std::size_t link = 0; link < schedules_.size(); ++link) {
     if (link >= rates.size() || rates[link] <= 0.0) continue;
-    if (spans_[link].empty()) continue;
+    if (schedules_[link].spans.empty()) continue;
     out.push_back(source(static_cast<topo::LinkId>(link)));
   }
   return out;
 }
 
 std::uint64_t SyntheticTraffic::packets_on(topo::LinkId link) const {
-  NETMON_REQUIRE(link < spans_.size(), "link id out of range");
-  std::uint64_t total = 0;
-  for (const PacketSpan& span : spans_[link]) total += span.packets;
-  return total;
+  NETMON_REQUIRE(link < schedules_.size(), "link id out of range");
+  return schedules_[link].packets;
 }
 
 }  // namespace netmon::ingest

@@ -4,19 +4,31 @@
 // TrafficMatrix) into per-OD flow populations via traffic::
 // generate_flows, routes each flow over the routing matrix, and builds
 // one per-link *packet schedule*: the time-ordered stream of packets
-// crossing that link during one measurement interval. A
-// SyntheticLinkSource then replays a link's schedule as PacketRecord
-// batches with an O(log active-flows) heap merge — allocation-free after
-// construction, which is what lets the ingest bench sustain millions of
-// packets per second per producer.
+// crossing that link during one measurement interval. A link's source
+// replays its schedule as PacketRecord batches through a calendar
+// queue: the link's time range is cut into fixed-width buckets of about
+// 16 scheduled packets each, active spans sit in intrusive per-bucket
+// lists, and each bucket's emissions are sorted and handed out. Work is
+// O(1) amortized per packet plus O(n log n) in the packets of one
+// bucket, and the source allocates nothing after construction, which
+// is what lets the ingest bench sustain millions of packets per second
+// per producer.
+//
+// Order contract: a link's packets come out in ascending (timestamp,
+// schedule index) order, a span's own packets (which may share a
+// timestamp) in emission order — exactly what a global merge of the
+// spans would emit — with a span's k-th timestamp accumulated as
+// start_sec plus dt_sec added k times. Bucketing cannot change that order because
+// the bucket index is a monotone function of the timestamp.
 //
 // Determinism: the flow populations are a pure function of (seed,
 // traffic matrix) — generate_all_flows derives one Rng stream per OD —
-// and each link's schedule replays in a fixed order, so the packet
-// stream a link's monitor sees is identical across runs, producer
-// partitions, and consumer thread counts. Fractional (ECMP) routing
-// entries are resolved per (flow, link) by hashing the flow key: a flow
-// either crosses a link or it does not, reproducibly.
+// and the schedules a pure function of the flows and the routing, so
+// the packet stream a link's monitor sees is identical across runs,
+// producer partitions, batch sizes and consumer thread counts.
+// Fractional (ECMP) routing entries are resolved per (flow, link) by
+// hashing the flow key: a flow either crosses a link or it does not,
+// reproducibly.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +51,48 @@ struct SyntheticOptions {
   /// Floor on the derived per-packet wire size.
   std::uint32_t min_packet_bytes = 40;
 };
+
+/// One flow's appearance on one link: `packets` (>= 1) packets at
+/// start_sec, start_sec + dt_sec, ... (accumulated), FIN on the last
+/// TCP packet.
+struct PacketSpan {
+  traffic::FlowKey key;
+  std::uint32_t pkt_bytes = 0;
+  std::uint32_t packets = 0;
+  double start_sec = 0.0;
+  double dt_sec = 0.0;
+  bool fin_last = false;
+};
+
+/// One link's packet schedule plus the totals its replay needs, computed
+/// once by finalize().
+struct LinkSchedule {
+  /// Spans sorted by start_sec (stable); the position is the span's
+  /// schedule index, the emission tie-break.
+  std::vector<PacketSpan> spans;
+  /// Sum of spans[i].packets — must be exact.
+  std::uint64_t packets = 0;
+  /// Time range the replay's buckets cover. Only a hint for bucket
+  /// balance: emissions outside it land in the first or last bucket and
+  /// the order contract still holds.
+  double first_sec = 0.0;
+  double last_sec = 0.0;
+
+  /// Stable-sorts the spans by start time and recomputes the totals.
+  void finalize();
+};
+
+/// Routes flow populations (one row per routing-matrix OD) onto per-link
+/// schedules, indexed by link id and finalized.
+std::vector<LinkSchedule> build_link_schedules(
+    const routing::RoutingMatrix& matrix,
+    const std::vector<std::vector<traffic::Flow>>& flows,
+    std::uint32_t min_packet_bytes);
+
+/// A calendar-queue replay source for one schedule, which it borrows:
+/// keep the schedule alive and unchanged while the source runs.
+std::unique_ptr<PacketSource> replay_schedule(topo::LinkId link,
+                                              const LinkSchedule& schedule);
 
 /// One interval of network-wide synthetic traffic, pre-routed into
 /// per-link packet schedules. Keep it alive while sources built from it
@@ -67,26 +121,13 @@ class SyntheticTraffic {
   std::uint64_t packets_on(topo::LinkId link) const;
 
   double interval_sec() const noexcept { return options_.flowgen.interval_sec; }
-  std::size_t link_count() const noexcept { return spans_.size(); }
+  std::size_t link_count() const noexcept { return schedules_.size(); }
 
  private:
-  friend class SyntheticLinkSource;
-
-  /// One flow's appearance on one link: `packets` packets evenly spaced
-  /// over [start, start + packets * dt), FIN on the last TCP packet.
-  struct PacketSpan {
-    traffic::FlowKey key;
-    std::uint32_t pkt_bytes = 0;
-    std::uint32_t packets = 0;
-    double start_sec = 0.0;
-    double dt_sec = 0.0;
-    bool fin_last = false;
-  };
-
   SyntheticOptions options_;
   std::vector<std::vector<traffic::Flow>> flows_;
-  /// Per-link schedules sorted by start_sec, indexed by link id.
-  std::vector<std::vector<PacketSpan>> spans_;
+  /// Per-link schedules, indexed by link id.
+  std::vector<LinkSchedule> schedules_;
 };
 
 }  // namespace netmon::ingest

@@ -16,6 +16,11 @@
 // The split is decided by the request size alone, so allocate and
 // deallocate agree without per-pointer bookkeeping. The allocator is
 // stateless: all instances are interchangeable.
+//
+// LazyPageVector drops the huge-page advice. It is for scratch reserved
+// to a loose upper bound that is rarely filled: its untouched pages are
+// never resident and munmap hands the touched ones back to the OS, where
+// a huge page would make 2 MB resident on the first touched byte.
 #pragma once
 
 #include <cstddef>
@@ -32,17 +37,21 @@ namespace netmon::util {
 
 inline constexpr std::size_t kPageAllocThresholdBytes = 16 * 1024;
 
-template <class T>
+template <class T, bool kHugePages = true>
 class PageAllocator {
  public:
   using value_type = T;
   using is_always_equal = std::true_type;
   using propagate_on_container_move_assignment = std::true_type;
   using propagate_on_container_swap = std::true_type;
+  template <class U>
+  struct rebind {
+    using other = PageAllocator<U, kHugePages>;
+  };
 
   PageAllocator() noexcept = default;
   template <class U>
-  PageAllocator(const PageAllocator<U>&) noexcept {}
+  PageAllocator(const PageAllocator<U, kHugePages>&) noexcept {}
 
   T* allocate(std::size_t n) {
     const std::size_t bytes = n * sizeof(T);
@@ -52,7 +61,7 @@ class PageAllocator {
                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
       if (p == MAP_FAILED) throw std::bad_alloc{};
 #ifdef MADV_HUGEPAGE
-      ::madvise(p, bytes, MADV_HUGEPAGE);
+      if constexpr (kHugePages) ::madvise(p, bytes, MADV_HUGEPAGE);
 #endif
       return static_cast<T*>(p);
     }
@@ -80,5 +89,9 @@ class PageAllocator {
 /// the term-sized arrays the batch kernels stream over.
 template <class T>
 using PageVector = std::vector<T, PageAllocator<T>>;
+
+/// PageVector without the huge-page advice (see the header comment).
+template <class T>
+using LazyPageVector = std::vector<T, PageAllocator<T, false>>;
 
 }  // namespace netmon::util

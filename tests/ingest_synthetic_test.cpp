@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "core/scenario.hpp"
+#include "core/task.hpp"
 #include "helpers.hpp"
 #include "traffic/flow_generator.hpp"
 
@@ -27,15 +32,112 @@ struct LineScenario {
   }
 };
 
-std::vector<PacketRecord> drain(PacketSource& source) {
+std::vector<PacketRecord> drain(PacketSource& source,
+                                std::size_t batch = 128) {
   std::vector<PacketRecord> out;
-  PacketRecord buf[128];
+  std::vector<PacketRecord> buf(batch);
   while (!source.exhausted()) {
-    const std::size_t n = source.next_batch(buf, 128);
+    const std::size_t n = source.next_batch(buf.data(), batch);
     if (n == 0) break;
-    out.insert(out.end(), buf, buf + n);
+    out.insert(out.end(), buf.begin(), buf.begin() + static_cast<long>(n));
   }
   return out;
+}
+
+/// Brute-force replay order: every span expanded with the same
+/// `+= dt_sec` accumulation, then stable-sorted by (ts, schedule index)
+/// so a span's own packets keep their emission order.
+std::vector<PacketRecord> reference_stream(const LinkSchedule& schedule) {
+  struct Emission {
+    double ts;
+    std::size_t span;
+    std::uint32_t seq;
+  };
+  std::vector<Emission> all;
+  for (std::size_t i = 0; i < schedule.spans.size(); ++i) {
+    const PacketSpan& span = schedule.spans[i];
+    double ts = span.start_sec;
+    for (std::uint32_t k = 0; k < span.packets; ++k) {
+      all.push_back({ts, i, k});
+      ts += span.dt_sec;
+    }
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const Emission& a, const Emission& b) {
+                     return a.ts != b.ts ? a.ts < b.ts : a.span < b.span;
+                   });
+  std::vector<PacketRecord> out;
+  out.reserve(all.size());
+  for (const Emission& e : all) {
+    const PacketSpan& span = schedule.spans[e.span];
+    PacketRecord record;
+    record.key = span.key;
+    record.bytes = span.pkt_bytes;
+    record.flags =
+        (span.fin_last && e.seq + 1 == span.packets) ? kPacketFin : 0;
+    record.ts_sec = e.ts;
+    out.push_back(record);
+  }
+  return out;
+}
+
+void expect_same_stream(const std::vector<PacketRecord>& actual,
+                        const std::vector<PacketRecord>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const PacketRecord& a = actual[i];
+    const PacketRecord& e = expected[i];
+    if (a.key == e.key && a.bytes == e.bytes && a.flags == e.flags &&
+        std::bit_cast<std::uint64_t>(a.ts_sec) ==
+            std::bit_cast<std::uint64_t>(e.ts_sec))
+      continue;
+    ADD_FAILURE() << "first mismatch at packet " << i << ": ts "
+                  << a.ts_sec << " vs " << e.ts_sec << ", port "
+                  << a.key.src_port << " vs " << e.key.src_port;
+    return;
+  }
+}
+
+/// Drains a fresh source per batch size (1, 7, 256) and compares each
+/// stream with the reference, record for record and bit for bit.
+template <typename MakeSource>
+void expect_reference_order(const LinkSchedule& schedule,
+                            MakeSource make_source) {
+  const std::vector<PacketRecord> expected = reference_stream(schedule);
+  ASSERT_EQ(expected.size(), schedule.packets);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{256}}) {
+    SCOPED_TRACE(testing::Message() << "batch " << batch);
+    const auto source = make_source();
+    expect_same_stream(drain(*source, batch), expected);
+    EXPECT_TRUE(source->exhausted());
+  }
+}
+
+void expect_reference_order(const LinkSchedule& schedule) {
+  expect_reference_order(schedule, [&] { return replay_schedule(5, schedule); });
+}
+
+PacketSpan make_span(std::uint16_t port, std::uint32_t packets,
+                     double start_sec, double dt_sec) {
+  PacketSpan span;
+  span.key.src_ip = 0x0a000001;
+  span.key.dst_ip = 0x0a000102;
+  span.key.src_port = port;
+  span.key.dst_port = 80;
+  span.pkt_bytes = 100u + port;
+  span.packets = packets;
+  span.start_sec = start_sec;
+  span.dt_sec = dt_sec;
+  span.fin_last = port % 2 == 0;
+  return span;
+}
+
+LinkSchedule schedule_of(std::vector<PacketSpan> spans) {
+  LinkSchedule schedule;
+  schedule.spans = std::move(spans);
+  schedule.finalize();
+  return schedule;
 }
 
 TEST(Synthetic, SchedulesMatchFlowPopulations) {
@@ -147,6 +249,102 @@ TEST(Synthetic, BatchSizeDoesNotChangeTheStream) {
     EXPECT_EQ(big_stream[i].key, small_stream[i].key);
     EXPECT_EQ(big_stream[i].ts_sec, small_stream[i].ts_sec);
   }
+}
+
+TEST(Synthetic, ReplayMatchesReferenceOrderOnLineScenario) {
+  LineScenario s;
+  SyntheticTraffic traffic(s.matrix, s.tm, s.options);
+  const std::vector<LinkSchedule> schedules = build_link_schedules(
+      s.matrix, traffic.flows(), s.options.min_packet_bytes);
+  for (const topo::LinkId link : {s.ab, s.bc}) {
+    SCOPED_TRACE(testing::Message() << "link " << link);
+    EXPECT_EQ(schedules[link].packets, traffic.packets_on(link));
+    expect_reference_order(schedules[link],
+                           [&] { return traffic.source(link); });
+  }
+}
+
+TEST(Synthetic, ReplayMatchesReferenceOrderOnHeaviestJanetLink) {
+  const core::GeantScenario scenario = core::make_geant_scenario();
+  const traffic::TrafficMatrix demands = core::janet_demands(scenario.net);
+  std::vector<routing::OdPair> ods;
+  for (const traffic::Demand& d : demands) ods.push_back(d.od);
+  const auto matrix =
+      routing::RoutingMatrix::single_path(scenario.net.graph, ods);
+  SyntheticOptions options;
+  options.flowgen.interval_sec = 4.0;
+  options.seed = 7919;
+  SyntheticTraffic traffic(matrix, demands, options);
+
+  topo::LinkId heaviest = 0;
+  for (std::size_t link = 0; link < traffic.link_count(); ++link) {
+    const auto id = static_cast<topo::LinkId>(link);
+    if (traffic.packets_on(id) > traffic.packets_on(heaviest)) heaviest = id;
+  }
+  ASSERT_GT(traffic.packets_on(heaviest), 10000u);
+  const std::vector<LinkSchedule> schedules = build_link_schedules(
+      matrix, traffic.flows(), options.min_packet_bytes);
+  expect_reference_order(schedules[heaviest],
+                         [&] { return traffic.source(heaviest); });
+}
+
+TEST(Synthetic, ReplayOrdersZeroDurationFlows) {
+  // dt_sec == 0: every packet of a span shares one timestamp, and two
+  // such spans plus a regular one collide on it.
+  expect_reference_order(schedule_of({
+      make_span(1, 300, 2.0, 0.0),
+      make_span(2, 40, 2.0, 0.0),
+      make_span(3, 30, 1.5, 0.05),
+      make_span(4, 1000, 3.0, 0.0),
+  }));
+  // Every packet of the link at one timestamp: a zero-width range.
+  const LinkSchedule pileup = schedule_of({
+      make_span(5, 70, 1.25, 0.0),
+      make_span(6, 9, 1.25, 0.0),
+  });
+  EXPECT_EQ(pileup.first_sec, pileup.last_sec);
+  expect_reference_order(pileup);
+}
+
+TEST(Synthetic, ReplayOrdersEqualStartTimes) {
+  std::vector<PacketSpan> spans;
+  for (std::uint16_t k = 0; k < 24; ++k)
+    spans.push_back(make_span(k, 5u + k, 1.0, 0.01 * (k % 5)));
+  expect_reference_order(schedule_of(std::move(spans)));
+}
+
+TEST(Synthetic, ReplayOfASingleSpan) {
+  expect_reference_order(schedule_of({make_span(8, 100, 0.5, 0.1)}));
+  expect_reference_order(schedule_of({make_span(9, 1, 0.5, 0.0)}));
+  const LinkSchedule empty = schedule_of({});
+  const auto source = replay_schedule(5, empty);
+  EXPECT_TRUE(source->exhausted());
+  PacketRecord record;
+  EXPECT_EQ(source->next_batch(&record, 1), 0u);
+}
+
+TEST(Synthetic, ReplayOrdersBucketBoundariesAndOverflow) {
+  // 64 packets -> 4 buckets; a [0, 4] range makes them 1 s wide, so the
+  // exact multiples of 0.25 hit the edges 1.0, 2.0, 3.0 exactly and
+  // everything from 4.0 on lies past the last bucket.
+  LinkSchedule schedule = schedule_of({
+      make_span(10, 16, 0.0, 0.25),  // 0 .. 3.75
+      make_span(11, 16, 1.0, 0.5),   // 1 .. 8.5
+      make_span(12, 16, 2.0, 0.0),   // all on the 2.0 edge
+      make_span(13, 16, 3.0, 0.25),  // 3 .. 6.75
+  });
+  ASSERT_EQ(schedule.packets, 64u);
+  schedule.first_sec = 0.0;
+  schedule.last_sec = 4.0;
+  expect_reference_order(schedule);
+  // A range narrower than the data: starts before the first bucket and
+  // most emissions past the last one are clamped into the end buckets.
+  schedule.first_sec = 1.5;
+  schedule.last_sec = 2.5;
+  expect_reference_order(schedule);
+  // A degenerate range: one effective bucket.
+  schedule.first_sec = schedule.last_sec = 2.0;
+  expect_reference_order(schedule);
 }
 
 }  // namespace

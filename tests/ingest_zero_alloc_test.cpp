@@ -1,8 +1,8 @@
 // Zero-allocation steady state of the ingest hot path (same
 // counting-allocator idiom as topo_presize_test.cpp): once the ring is
-// built, the synthetic source's heap is warmed, and the flow table has
-// seen every flow once, pushing packets source -> ring -> sampler ->
-// table performs no heap allocations at all.
+// built, the synthetic source has staged its first bucket, and the flow
+// table has seen every flow once, pushing packets source -> ring ->
+// sampler -> table performs no heap allocations at all.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -68,6 +68,22 @@ TEST(IngestZeroAlloc, RingPushPopAllocatesNothing) {
   EXPECT_EQ(allocs, 0u) << "ring moved records through the heap";
 }
 
+/// Stages the source's first bucket, then counts the allocations of
+/// draining the rest; `delivered` gets every packet the source emitted.
+std::size_t replay_allocations(ingest::PacketSource& source,
+                               std::uint64_t& delivered) {
+  ingest::PacketRecord batch[256];
+  delivered = source.next_batch(batch, 256);
+  EXPECT_GT(delivered, 0u);  // warm the first bucket
+  return allocations_in([&] {
+    while (!source.exhausted()) {
+      const std::size_t n = source.next_batch(batch, 256);
+      if (n == 0) break;
+      delivered += n;
+    }
+  });
+}
+
 TEST(IngestZeroAlloc, SyntheticReplayAllocatesNothingAfterWarmup) {
   topo::Graph graph;
   const auto a = graph.add_node("A");
@@ -75,22 +91,48 @@ TEST(IngestZeroAlloc, SyntheticReplayAllocatesNothingAfterWarmup) {
   graph.add_duplex(a, b, 1e9, 1.0);
   const routing::RoutingMatrix matrix =
       routing::RoutingMatrix::single_path(graph, {{0, 1}});
+  const auto link = *graph.find_link(0, 1);
   ingest::SyntheticOptions options;
   options.flowgen.interval_sec = 30.0;
-  const ingest::SyntheticTraffic traffic(matrix, {{{0, 1}, 400.0}},
-                                         options);
-  const auto link = *graph.find_link(0, 1);
-  auto source = traffic.source(link);
-  ASSERT_NE(source, nullptr);
+  std::uint64_t delivered = 0;
 
-  ingest::PacketRecord batch[256];
-  ASSERT_GT(source->next_batch(batch, 256), 0u);  // warm the heap merge
-  const std::size_t allocs = allocations_in([&] {
-    while (!source->exhausted()) {
-      if (source->next_batch(batch, 256) == 0) break;
+  // A light link and a dense one (thousands of concurrent spans).
+  for (const double pkt_per_sec : {400.0, 40000.0}) {
+    SCOPED_TRACE(testing::Message() << pkt_per_sec << " pkt/s");
+    const ingest::SyntheticTraffic traffic(matrix, {{{0, 1}, pkt_per_sec}},
+                                           options);
+    auto source = traffic.source(link);
+    ASSERT_NE(source, nullptr);
+    EXPECT_EQ(replay_allocations(*source, delivered), 0u)
+        << "synthetic replay allocated in steady state";
+    EXPECT_EQ(delivered, traffic.packets_on(link));
+    if (pkt_per_sec > 400.0) {
+      EXPECT_GT(traffic.flows()[0].size(), 5000u);
     }
-  });
-  EXPECT_EQ(allocs, 0u) << "synthetic replay allocated in steady state";
+  }
+
+  // A zero-duration elephant after a run of mice: its bucket holds 2e5
+  // packets, far more than any bucket staged before it.
+  ingest::LinkSchedule schedule;
+  for (std::uint16_t k = 0; k < 200; ++k) {
+    ingest::PacketSpan mouse;
+    mouse.key.src_port = k;
+    mouse.packets = 3;
+    mouse.start_sec = 0.005 * k;
+    mouse.dt_sec = 0.001;
+    schedule.spans.push_back(mouse);
+  }
+  ingest::PacketSpan elephant;
+  elephant.key.src_port = 9999;
+  elephant.packets = 200000;
+  elephant.start_sec = 1.5;
+  elephant.fin_last = true;
+  schedule.spans.push_back(elephant);
+  schedule.finalize();
+  auto source = ingest::replay_schedule(link, schedule);
+  EXPECT_EQ(replay_allocations(*source, delivered), 0u)
+      << "a zero-duration elephant's bucket allocated";
+  EXPECT_EQ(delivered, schedule.packets);
 }
 
 TEST(IngestZeroAlloc, HotPathSteadyStateAllocatesNothing) {

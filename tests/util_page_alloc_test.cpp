@@ -54,6 +54,19 @@ TEST(PageAllocTest, SpanViewsWork) {
   EXPECT_EQ(s[4095], 7.0);
 }
 
+TEST(PageAllocTest, LazyVectorReservesWithoutResizing) {
+  // Reserve far past the threshold, touch a little: the dedicated
+  // mapping holds the values and push_back stays within the capacity.
+  LazyPageVector<double> v;
+  v.reserve(1 << 18);
+  const double* data = v.data();
+  for (std::size_t i = 0; i < 3000; ++i) v.push_back(static_cast<double>(i));
+  EXPECT_EQ(v.data(), data);
+  EXPECT_EQ(v[2999], 2999.0);
+  LazyPageVector<float> small(8, 1.5f);  // below the threshold
+  EXPECT_EQ(small[7], 1.5f);
+}
+
 TEST(PageAllocTest, AllocatorsCompareEqual) {
   EXPECT_TRUE((PageAllocator<double>{} == PageAllocator<double>{}));
 }
