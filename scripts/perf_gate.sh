@@ -9,12 +9,12 @@
 # fast-math relative error above 1e-12.
 # A second section reruns scaling_perf (the 100k+-link instance) against
 # BENCH_scaling.json: the certified approximation gap is a hard <= 1%
-# cap, the warm what-if from the approximate incumbent must certify
-# within the default 2000 iterations (hard), the 8-thread intra-solve
-# speedup has a >= 2x floor on machines with >= 8 hardware threads,
-# and the scale timings get a wider (50%)
-# regression band — second-scale wall times on a shared machine are
-# noisier than the ns-scale kernel minima.
+# cap, the warm what-if from the approximate incumbent and the cold exact
+# solve must certify within the default 2000 iterations (hard), the
+# 8-thread intra-solve speedup has a >= 2x floor on machines with >= 8
+# hardware threads, and the scale timings get a wider (50%) regression
+# band — second-scale wall times on a shared machine are noisier than
+# the ns-scale kernel minima.
 # A third section reruns ingest_perf against BENCH_ingest.json: the
 # lossless (kBlock) pipeline must drop exactly nothing and the kDrop
 # accounting must close on every run; the >= 1M pkts/sec throughput
@@ -179,7 +179,7 @@ fi
 [ -x "${SCALING_BIN}" ] || {
   echo "perf_gate: ${SCALING_BIN} not built"; exit 1; }
 NETMON_BENCH_JSON="${SCALING_TMP}" "${SCALING_BIN}" >/dev/null || {
-  echo "perf_gate: FAIL scaling_perf exited nonzero (gap or bit-identity)"
+  echo "perf_gate: FAIL scaling_perf exited nonzero (gap, certification or bit-identity)"
   fail=1
 }
 
@@ -202,6 +202,17 @@ if [ "${warm_certified}" != "1" ]; then
   fail=1
 else
   echo "perf_gate: ok   whatif_warm_certified  (${warm_iters} iterations)"
+fi
+
+# The cold exact solve of the same instance must certify within the
+# library's default 2000 iterations too.
+cold_certified="$(extract "${SCALING_TMP}" exact_cold_certified)"
+cold_iters="$(extract "${SCALING_TMP}" exact_cold_iters)"
+if [ "${cold_certified}" != "1" ]; then
+  echo "perf_gate: FAIL exact_cold_certified: stopped uncertified after ${cold_iters:-?} iterations"
+  fail=1
+else
+  echo "perf_gate: ok   exact_cold_certified   (${cold_iters} iterations)"
 fi
 
 # The parallel exact solve must stay bit-identical to serial at scale.
@@ -253,6 +264,7 @@ check_scaling gen_ms
 check_scaling build_ms
 check_scaling whatif_build_ms
 check_scaling approx_ms
+check_scaling exact_cold_ms
 check_scaling solve1_ms
 
 # ---- ingest section: packet pipeline throughput -----------------------

@@ -9,10 +9,10 @@
 // The projection keeps the previous placement's active set
 // (BoxBudgetConstraints::project_face): when a failure takes budget away
 // from the incumbent, its zero rates stay zero and only its monitors
-// grow. The solver releases wrongly active bounds in one KKT event but
-// activates bounds one per iteration, so lifting every zero to a small
-// positive rate, as the Euclidean projection does, can cost thousands of
-// iterations (DESIGN.md §8).
+// grow. The solver releases wrongly active bounds in one event but
+// activates bounds only where a blocked line search crosses them, so
+// lifting every zero to a small positive rate, as the Euclidean
+// projection does, costs many iterations (DESIGN.md §8).
 #pragma once
 
 #include <span>

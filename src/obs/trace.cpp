@@ -107,6 +107,9 @@ SolverCounters register_solver_counters(MetricsRegistry& registry) {
   counters.release_events = registry.counter(
       "netmon_solver_release_events_total",
       "Active constraints released on negative KKT multipliers");
+  counters.activation_events = registry.counter(
+      "netmon_solver_activation_events_total",
+      "Blocked line-search steps that activated several bounds at once");
   counters.solves = registry.counter("netmon_solver_solves_total",
                                      "Completed maximize() calls");
   counters.cancelled = registry.counter(

@@ -47,9 +47,9 @@ struct TraceRecord {
   std::uint32_t active_set = 0;
   /// Line-search restriction size (fused path; 0 otherwise).
   std::uint32_t restriction_terms = 0;
-  /// KKT report of this iteration (NaN when the multipliers were not
-  /// computed). On the final record these match SolveResult::lambda and
-  /// SolveResult::worst_multiplier exactly.
+  /// KKT report at this iteration's iterate (the solver computes the
+  /// multipliers every iteration). On the final record these match
+  /// SolveResult::lambda and SolveResult::worst_multiplier exactly.
   double kkt_lambda = 0.0;
   double kkt_residual = 0.0;
 };
@@ -93,6 +93,7 @@ class SolverTrace {
 struct SolverCounters {
   Counter iterations;
   Counter release_events;
+  Counter activation_events;
   Counter solves;
   Counter cancelled;
 };

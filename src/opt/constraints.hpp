@@ -44,11 +44,12 @@ class BoxBudgetConstraints {
   /// with y_j >= alpha_j stays at alpha_j. When that face cannot carry
   /// theta (or clamp(y) already meets it), returns project(y).
   ///
-  /// The gradient projection solver releases every bound with a negative
-  /// KKT multiplier in one event but activates bounds one per iteration,
-  /// so a start with too many active bounds is cheap and a start with
-  /// too few is not: project() would lift every incumbent zero to
-  /// -lambda u_j > 0 and leave the solver to push them back one by one.
+  /// The gradient projection solver releases wrongly active bounds in
+  /// one event, but activates bounds only where a line search runs into
+  /// them (several per blocked step at best), so a start with too many
+  /// active bounds is cheap and a start with too few is not: project()
+  /// would lift every incumbent zero to -lambda u_j > 0 and leave the
+  /// solver to push them all back.
   std::vector<double> project_face(std::span<const double> y) const;
 
  private:

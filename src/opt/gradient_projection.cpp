@@ -99,6 +99,13 @@ SolveResult maximize(const Objective& f,
   std::vector<BoundState>& bounds = result.bounds;
   bounds.assign(n, BoundState::kFree);
 
+  // Whether g (and, on the fused path, current_value and m2_terms) were
+  // produced at the CURRENT p — false as soon as p moves, so the next
+  // iteration (or the exit path) knows whether an evaluation is needed.
+  bool eval_current = false;
+  double current_value = 0.0;
+  std::span<const double> m2_terms;  // per-term M'' at p (fused path)
+
   // Every mutation of p after the inner products exist goes through
   // set_p, which mirrors the change into x via one CSC-column walk —
   // the incremental active-set update that replaces the full R p.
@@ -106,11 +113,13 @@ SolveResult maximize(const Objective& f,
   std::span<double> x;
   std::size_t deltas_this_iter = 0;
   auto set_p = [&](std::size_t j, double v) {
-    if (maintain_x && v != result.p[j]) {
+    if (v == result.p[j]) return;
+    if (maintain_x) {
       sep->inner_axpy(j, v - result.p[j], x);
       ++deltas_this_iter;
     }
     result.p[j] = v;
+    eval_current = false;
   };
   auto classify = [&](std::size_t j) {
     if (result.p[j] <= kSnapLower) {
@@ -148,6 +157,7 @@ SolveResult maximize(const Objective& f,
   ws.s_prev.resize(n);
   ws.d_prev.resize(n);
   ws.dir_tmp.resize(n);
+  ws.bounds_saved.resize(n);
   std::vector<double>& g = ws.g;
   std::vector<double>& s = ws.s;
   std::vector<double>& d = ws.d;
@@ -175,12 +185,6 @@ SolveResult maximize(const Objective& f,
     maintain_x = true;
   }
 
-  // Whether g (and, on the fused path, current_value and m2_terms) were
-  // produced at the CURRENT p — false as soon as a step moves p, so the
-  // exit path knows whether one final evaluation is needed.
-  bool eval_current = false;
-  double current_value = 0.0;
-  std::span<const double> m2_terms;  // per-term M'' at p (fused path)
   int iters_since_refresh = 0;
 
   int iter = 0;
@@ -192,8 +196,9 @@ SolveResult maximize(const Objective& f,
   obs::SolverTrace* const trace = options.trace;
   const std::uint64_t solve_id = trace ? trace->begin_solve() : 0;
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  // `kkt_valid`: ws.kkt holds multipliers computed at this iterate.
-  auto trace_iter = [&](double snorm, double step, bool kkt_valid) {
+  // Every record's KKT fields come from ws.kkt, which each iteration
+  // fills at its iterate before it moves p.
+  auto trace_iter = [&](double snorm, double step) {
     if (trace == nullptr) return;
     obs::TraceRecord r;
     r.solve_id = solve_id;
@@ -227,8 +232,8 @@ SolveResult maximize(const Objective& f,
         sep != nullptr && step > 0.0
             ? static_cast<std::uint32_t>(ws.restriction.active_terms())
             : 0;
-    r.kkt_lambda = kkt_valid ? ws.kkt.lambda : kNan;
-    r.kkt_residual = kkt_valid ? ws.kkt.worst : kNan;
+    r.kkt_lambda = ws.kkt.lambda;
+    r.kkt_residual = ws.kkt.worst;
     trace->record(r);
   };
   while (iter < options.max_iterations) {
@@ -238,24 +243,30 @@ SolveResult maximize(const Objective& f,
     }
     ++iter;
     deltas_this_iter = 0;
-    if (sep != nullptr) {
-      const SeparableConcaveObjective::FusedEval fe =
-          sep->fused_eval_from_inner(x, g, ws.eval, par);
-      current_value = fe.value;
-      m2_terms = fe.m2;
-    } else {
-      f.gradient(result.p, g, ws.eval);
+    // A release leaves p (and so g) as it was, and an accepted bulk step
+    // already evaluated its point: only a moved p needs an evaluation.
+    if (!eval_current) {
+      if (sep != nullptr) {
+        const SeparableConcaveObjective::FusedEval fe =
+            sep->fused_eval_from_inner(x, g, ws.eval, par);
+        current_value = fe.value;
+        m2_terms = fe.m2;
+      } else {
+        f.gradient(result.p, g, ws.eval);
+      }
+      eval_current = true;
     }
-    eval_current = true;
     project_direction(g, u, bounds, s, par_dim);
 
-    const double snorm = norm2(s);
+    double snorm = norm2(s);
     const double gnorm = norm2(g);
+    // Multipliers on the current face, every iteration: the certificate
+    // at stationarity, the drop test below otherwise.
+    compute_kkt(g, u, bounds, options.kkt_tol, ws.kkt);
     if (snorm <= options.grad_tol * (1.0 + gnorm)) {
-      compute_kkt(g, u, bounds, options.kkt_tol, ws.kkt);
       result.lambda = ws.kkt.lambda;
       result.worst_multiplier = ws.kkt.worst;
-      trace_iter(snorm, 0.0, /*kkt_valid=*/true);
+      trace_iter(snorm, 0.0);
       if (ws.kkt.satisfied) {
         result.status = SolveStatus::kOptimal;
         break;
@@ -266,6 +277,23 @@ SolveResult maximize(const Objective& f,
       ++result.release_events;
       have_prev = false;
       continue;
+    }
+
+    // Rosen's drop test: a bound whose multiplier is more negative than
+    // -||s|| is released now, not after the face has been searched to
+    // stationarity. Same release rule as above, with a threshold that
+    // tightens to the certificate's as s vanishes.
+    if (ws.kkt.worst < -snorm) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if ((bounds[j] == BoundState::kAtLower && ws.kkt.nu[j] < -snorm) ||
+            (bounds[j] == BoundState::kAtUpper && ws.kkt.mu[j] < -snorm)) {
+          bounds[j] = BoundState::kFree;
+        }
+      }
+      ++result.release_events;
+      have_prev = false;
+      project_direction(g, u, bounds, s, par_dim);
+      snorm = norm2(s);
     }
 
     // Search direction: projected gradient, optionally conjugate-mixed.
@@ -286,15 +314,16 @@ SolveResult maximize(const Objective& f,
       }
     }
 
-    // Longest feasible step along d.
+    // Longest feasible step along d: the first breakpoint of a free
+    // coordinate (infinite where d_j = 0).
+    auto breakpoint = [&](std::size_t j) {
+      if (d[j] > 0.0) return (alpha[j] - result.p[j]) / d[j];
+      if (d[j] < 0.0) return result.p[j] / -d[j];
+      return std::numeric_limits<double>::infinity();
+    };
     double t_max = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < n; ++j) {
-      if (bounds[j] != BoundState::kFree) continue;
-      if (d[j] > 0.0) {
-        t_max = std::min(t_max, (alpha[j] - result.p[j]) / d[j]);
-      } else if (d[j] < 0.0) {
-        t_max = std::min(t_max, result.p[j] / -d[j]);
-      }
+      if (bounds[j] == BoundState::kFree) t_max = std::min(t_max, breakpoint(j));
     }
     if (!std::isfinite(t_max) || t_max <= 0.0) {
       // Numerically stuck against a bound: activate the offender(s).
@@ -308,7 +337,7 @@ SolveResult maximize(const Objective& f,
         }
       }
       have_prev = false;
-      trace_iter(snorm, 0.0, /*kkt_valid=*/false);
+      trace_iter(snorm, 0.0);
       if (!changed) break;  // nothing to activate: give up this path
       continue;
     }
@@ -333,7 +362,7 @@ SolveResult maximize(const Objective& f,
       compute_kkt(g, u, bounds, options.kkt_tol, ws.kkt);
       result.lambda = ws.kkt.lambda;
       result.worst_multiplier = ws.kkt.worst;
-      trace_iter(snorm, 0.0, /*kkt_valid=*/true);
+      trace_iter(snorm, 0.0);
       if (ws.kkt.satisfied) {
         result.status = SolveStatus::kOptimal;
         break;
@@ -342,6 +371,97 @@ SolveResult maximize(const Objective& f,
       ++result.release_events;
       have_prev = false;
       continue;
+    }
+
+    // Bulk activation. A blocked step stops at the first breakpoint, but
+    // along d the objective keeps rising to about t_ext = t_max - phi'/
+    // phi'' (one Newton step from the probe at t_max). Every free
+    // coordinate whose breakpoint lies before t_ext is pinned to the
+    // bound it runs into, and the remaining free coordinates absorb the
+    // budget this moves along u. The step activates only its blocking
+    // bound instead when nothing lies between t_max and t_ext, when the
+    // remaining coordinates cannot absorb the budget inside their boxes,
+    // or when the bulk point is no better than p. The extrapolation is
+    // only a model; without that last check a bulk step can lose value,
+    // and pins and drop-test releases can then undo each other until the
+    // iteration cap (BulkStepThatLosesValueIsRejected).
+    //
+    // Where the step leaves free coordinate j, and where a pin puts it.
+    auto stepped = [&](std::size_t j) {
+      return std::clamp(result.p[j] + ls.t * d[j], 0.0, alpha[j]);
+    };
+    auto pin = [&](std::size_t j) { return d[j] < 0.0 ? 0.0 : alpha[j]; };
+    double t_ext = 0.0;
+    double shift = 0.0;  // budget absorption along u, per unit u_j
+    bool bulk = false;
+    if (ls.hit_boundary && ls.second_at_max < 0.0) {
+      t_ext = ls.t - ls.first_at_max / ls.second_at_max;
+      double moved_budget = 0.0, uu = 0.0;
+      bool beyond_block = false;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (bounds[j] != BoundState::kFree) continue;
+        const double b = breakpoint(j);
+        if (b < t_ext) {
+          moved_budget += u[j] * (pin(j) - stepped(j));
+          beyond_block = beyond_block || b > ls.t;
+        } else {
+          uu += u[j] * u[j];
+        }
+      }
+      if (beyond_block && uu > 0.0) {
+        shift = -moved_budget / uu;
+        bulk = true;
+        for (std::size_t j = 0; j < n && bulk; ++j) {
+          if (bounds[j] != BoundState::kFree || breakpoint(j) < t_ext) continue;
+          const double v = stepped(j) + shift * u[j];
+          bulk = v >= 0.0 && v <= alpha[j];
+        }
+      }
+    }
+    if (bulk) {
+      // Keep p and its active set for the fallback, then build the bulk
+      // point. Every free coordinate moves, so p is written directly and
+      // the inner products are recomputed once instead of one column walk
+      // per coordinate.
+      const double value_before =
+          sep != nullptr ? current_value : f.value(result.p, ws.eval);
+      std::copy(result.p.begin(), result.p.end(), ws.dir_tmp.begin());
+      std::copy(bounds.begin(), bounds.end(), ws.bounds_saved.begin());
+      for (std::size_t j = 0; j < n; ++j) {
+        if (bounds[j] != BoundState::kFree) continue;
+        if (breakpoint(j) < t_ext) {
+          result.p[j] = pin(j);
+          bounds[j] = d[j] < 0.0 ? BoundState::kAtLower : BoundState::kAtUpper;
+        } else {
+          result.p[j] = std::clamp(stepped(j) + shift * u[j], 0.0, alpha[j]);
+        }
+      }
+      if (maintain_x) refresh_inner();
+      for (std::size_t j = 0; j < n; ++j) {
+        if (bounds[j] == BoundState::kFree) classify(j);
+      }
+      correct_budget();
+      // Evaluate the bulk point; on the fused path into s (unused after
+      // a blocked step), so g stays at p if the point is rejected.
+      SeparableConcaveObjective::FusedEval fe;
+      if (sep != nullptr) fe = sep->fused_eval_from_inner(x, s, ws.eval, par);
+      if ((sep != nullptr ? fe.value : f.value(result.p, ws.eval)) >
+          value_before) {
+        trace_iter(snorm, ls.t);
+        ++result.activation_events;
+        have_prev = false;
+        eval_current = sep != nullptr;
+        if (sep != nullptr) {
+          g.swap(s);
+          current_value = fe.value;
+          m2_terms = fe.m2;
+          iters_since_refresh = 0;
+        }
+        continue;
+      }
+      std::copy(ws.dir_tmp.begin(), ws.dir_tmp.end(), result.p.begin());
+      std::copy(ws.bounds_saved.begin(), ws.bounds_saved.end(), bounds.begin());
+      if (maintain_x) refresh_inner();
     }
     if (sep != nullptr) {
       // Dense inner-product update x += t * rd (rd cached from the line
@@ -394,7 +514,7 @@ SolveResult maximize(const Objective& f,
       }
     }
     correct_budget();
-    trace_iter(snorm, ls.t, /*kkt_valid=*/false);
+    trace_iter(snorm, ls.t);
 
     if (maintain_x && (++iters_since_refresh >= kInnerRefreshInterval ||
                        deltas_this_iter > n / 4)) {
@@ -432,6 +552,8 @@ SolveResult maximize(const Objective& f,
   options.counters.iterations.inc(static_cast<std::uint64_t>(iter));
   options.counters.release_events.inc(
       static_cast<std::uint64_t>(result.release_events));
+  options.counters.activation_events.inc(
+      static_cast<std::uint64_t>(result.activation_events));
   options.counters.solves.inc();
   if (result.status == SolveStatus::kCancelled) options.counters.cancelled.inc();
 

@@ -24,6 +24,7 @@ void compute_kkt(std::span<const double> g, std::span<const double> u,
   report.lambda = 0.0;
   report.worst = 0.0;
   report.violating.clear();
+  report.violating.reserve(n);  // one allocation per report, then none
   report.nu.assign(n, 0.0);
   report.mu.assign(n, 0.0);
 

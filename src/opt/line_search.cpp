@@ -50,6 +50,8 @@ LineSearchResult maximize_phi(Phi& phi, double t_max,
     // Still ascending at the boundary: the constraint blocks us.
     result.t = t_max;
     result.hit_boundary = true;
+    result.first_at_max = at_max.first;
+    result.second_at_max = at_max.second;
     return result;
   }
 

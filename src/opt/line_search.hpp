@@ -37,6 +37,11 @@ struct LineSearchResult {
   double t = 0.0;
   /// Whether the step ran into t_max (a constraint blocks the ascent).
   bool hit_boundary = false;
+  /// phi'(t_max) and phi''(t_max) when hit_boundary (the probe that
+  /// decided it); 0 otherwise. The solver extrapolates the unblocked
+  /// maximizer from them to activate several bounds in one step.
+  double first_at_max = 0.0;
+  double second_at_max = 0.0;
   /// Iterations spent.
   int iters = 0;
 };

@@ -116,14 +116,31 @@ TEST(SolverTrace, JsonlHasOneObjectPerRecordWithTheSchemaKeys) {
   }
 }
 
-TEST(SolverCounters, CountSolvesIterationsAndReleases) {
+TEST(SolverCounters, CountSolvesIterationsReleasesAndActivations) {
   Fixture fx;
   obs::MetricsRegistry registry;
   SolverOptions options;
   options.counters = obs::register_solver_counters(registry);
 
   const SolveResult a = maximize(fx.f, fx.c, options);
-  const SolveResult b = maximize(fx.f, fx.c, options);
+  // A warm start with small rates on coordinates that are zero at the
+  // optimum: its first blocked step activates them in bulk.
+  constexpr std::size_t n = 12;
+  SeparableConcaveObjective::SparseRows rows(n);
+  std::vector<std::shared_ptr<const Concave1d>> utilities;
+  std::vector<double> start(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    rows[j].emplace_back(j, 1.0);
+    utilities.push_back(log_u(j < 2 ? 0.05 : 100.0));
+    start[j] = j < 2 ? 0.1 : 1e-3 * static_cast<double>(j);
+  }
+  double theta = 0.0;
+  for (double v : start) theta += v;
+  const SeparableConcaveObjective f(n, std::move(rows), utilities);
+  const BoxBudgetConstraints c(std::vector<double>(n, 1.0),
+                               std::vector<double>(n, 1.0), theta);
+  const SolveResult b = maximize(f, c, options, &start);
+  ASSERT_GT(b.activation_events, 0);
 
   const obs::RegistrySnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.find("netmon_solver_solves_total")->value, 2.0);
@@ -131,6 +148,8 @@ TEST(SolverCounters, CountSolvesIterationsAndReleases) {
             static_cast<double>(a.iterations + b.iterations));
   EXPECT_EQ(snap.find("netmon_solver_release_events_total")->value,
             static_cast<double>(a.release_events + b.release_events));
+  EXPECT_EQ(snap.find("netmon_solver_activation_events_total")->value,
+            static_cast<double>(a.activation_events + b.activation_events));
   EXPECT_EQ(snap.find("netmon_solver_cancelled_total")->value, 0.0);
 }
 
