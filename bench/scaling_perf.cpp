@@ -9,7 +9,9 @@
 // the perf gate tracks: the certified gap is capped at the tier's 1%
 // target, the warm what-if and the cold exact solve must certify, and
 // the 8-thread speedup floor applies on machines with >= 8 hardware
-// threads (hw_threads is recorded so the gate can tell).
+// threads (hw_threads is recorded so the gate can tell). Both certified
+// solves also report their line-search probes per search
+// (*_ls_probes_per_search), which the gate caps at 3.
 #include <algorithm>
 #include <cstdio>
 #include <thread>
@@ -117,15 +119,25 @@ int run() {
   warm_options.failed = {busiest};
   const core::PlacementProblem warm_problem =
       core::make_problem(scenario, warm_options);
+  // The solver counters (a branch per solve) count its line-search
+  // probes; PlacementSolution does not carry them.
+  obs::MetricsRegistry warm_metrics;
+  opt::SolverOptions warm_solver;
+  warm_solver.counters = obs::register_solver_counters(warm_metrics);
   StopWatch warm_watch;
   const core::PlacementSolution warm =
-      core::resolve_warm(warm_problem, incumbent);
+      core::resolve_warm(warm_problem, incumbent, warm_solver);
   const double whatif_warm_ms = warm_watch.elapsed_ms();
   const bool warm_certified = warm.status == opt::SolveStatus::kOptimal;
+  const obs::RegistrySnapshot warm_counts = warm_metrics.snapshot();
+  const double warm_probes_per_search =
+      warm_counts.find("netmon_solver_line_search_probes_total")->value /
+      warm_counts.find("netmon_solver_line_searches_total")->value;
   std::printf("  warm what-if (busiest monitor %u failed): %d iterations, "
-              "%s in %.1f ms\n",
+              "%s in %.1f ms, %.2f probes per line search\n",
               static_cast<unsigned>(busiest), warm.iterations,
-              warm_certified ? "certified" : "NOT CERTIFIED", whatif_warm_ms);
+              warm_certified ? "certified" : "NOT CERTIFIED", whatif_warm_ms,
+              warm_probes_per_search);
 
   // -- exact cold solve: time to the KKT certificate --------------------
   // Serial, from the default start, at the library's default iteration
@@ -137,9 +149,12 @@ int run() {
                          nullptr, &workspace);
   });
   const bool cold_certified = cold.status == opt::SolveStatus::kOptimal;
-  std::printf("  exact cold solve: %d iterations, %s in %.1f ms\n",
+  const double cold_probes_per_search =
+      static_cast<double>(cold.line_search_probes) / cold.line_searches;
+  std::printf("  exact cold solve: %d iterations, %s in %.1f ms, "
+              "%.2f probes per line search\n",
               cold.iterations, cold_certified ? "certified" : "NOT CERTIFIED",
-              exact_cold_ms);
+              exact_cold_ms, cold_probes_per_search);
 
   // -- intra-solve parallel speedup: 1 vs 8 threads ---------------------
   // Fixed-iteration exact solves (identical deterministic work: the
@@ -189,9 +204,11 @@ int run() {
               static_cast<double>(approx.subsolve_iterations))
       .metric("whatif_warm_iters", static_cast<double>(warm.iterations))
       .metric("whatif_warm_certified", warm_certified ? 1.0 : 0.0)
+      .metric("whatif_warm_ls_probes_per_search", warm_probes_per_search)
       .metric("exact_cold_iters", static_cast<double>(cold.iterations))
       .metric("exact_cold_ms", exact_cold_ms)
       .metric("exact_cold_certified", cold_certified ? 1.0 : 0.0)
+      .metric("exact_cold_ls_probes_per_search", cold_probes_per_search)
       .metric("solve1_ms", solve1_ms)
       .metric("solve8_ms", solve8_ms)
       .metric("intra_speedup_8t", intra_speedup_8t)

@@ -10,7 +10,8 @@
 # A second section reruns scaling_perf (the 100k+-link instance) against
 # BENCH_scaling.json: the certified approximation gap is a hard <= 1%
 # cap, the warm what-if from the approximate incumbent and the cold exact
-# solve must certify within the default 2000 iterations (hard), the
+# solve must certify within the default 2000 iterations (hard) and spend
+# at most 3 line-search probes per search (hard), the
 # 8-thread intra-solve speedup has a >= 2x floor on machines with >= 8
 # hardware threads, and the scale timings get a wider (50%) regression
 # band — second-scale wall times on a shared machine are noisier than
@@ -214,6 +215,20 @@ if [ "${cold_certified}" != "1" ]; then
 else
   echo "perf_gate: ok   exact_cold_certified   (${cold_iters} iterations)"
 fi
+
+# Line-search cost: the strong-Wolfe exit takes the t_max probe plus one
+# or two model steps per search. More than 3 probes per search on either
+# certified solve means the search is polishing steps again (hard cap;
+# the exact 1e-12 search it replaced spent ~6).
+for key in whatif_warm_ls_probes_per_search exact_cold_ls_probes_per_search; do
+  probes="$(extract "${SCALING_TMP}" "${key}")"
+  if awk -v p="${probes:-99}" 'BEGIN { exit (p <= 3.0) ? 0 : 1 }'; then
+    printf 'perf_gate: ok   %-32s %s (cap 3)\n' "${key}" "${probes}"
+  else
+    printf 'perf_gate: FAIL %-32s %s (> 3 cap)\n' "${key}" "${probes:-missing}"
+    fail=1
+  fi
+done
 
 # The parallel exact solve must stay bit-identical to serial at scale.
 solve_identical="$(extract "${SCALING_TMP}" solve_bit_identical)"

@@ -110,6 +110,12 @@ SolverCounters register_solver_counters(MetricsRegistry& registry) {
   counters.activation_events = registry.counter(
       "netmon_solver_activation_events_total",
       "Blocked line-search steps that activated several bounds at once");
+  counters.line_searches = registry.counter(
+      "netmon_solver_line_searches_total",
+      "Line searches run along an ascent direction");
+  counters.line_search_probes = registry.counter(
+      "netmon_solver_line_search_probes_total",
+      "Line-search derivative probes (phi'(t), phi''(t) evaluations)");
   counters.solves = registry.counter("netmon_solver_solves_total",
                                      "Completed maximize() calls");
   counters.cancelled = registry.counter(

@@ -94,6 +94,8 @@ struct SolverCounters {
   Counter iterations;
   Counter release_events;
   Counter activation_events;
+  Counter line_searches;
+  Counter line_search_probes;
   Counter solves;
   Counter cancelled;
 };

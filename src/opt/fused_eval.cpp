@@ -1,8 +1,10 @@
 #include "opt/fused_eval.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "core/utility_kernels.hpp"
+#include "linalg/lane_sum.hpp"
 #include "linalg/parallel_kernels.hpp"
 #include "runtime/parallel.hpp"
 #include "util/error.hpp"
@@ -91,16 +93,17 @@ void SeparableRestriction::reset(const SeparableConcaveObjective& f,
 
   // phi''(0) from the caller's per-term M'' at x0, when provided: the
   // inactive terms contribute exactly zero (rd_k == 0), so the compact
-  // sum is the full sum.
+  // sum is the full sum. Same terms in the same lane order as derivs(),
+  // so it equals derivs(0).second bit for bit.
   have_second0_ = !m2_at_x0.empty();
   if (have_second0_) {
     NETMON_REQUIRE(m2_at_x0.size() == n, "restriction m2 size mismatch");
-    double sum = 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double r = rdc_[i];
-      sum += m2_at_x0[idx_[i]] * r * r;
-    }
-    second0_ = sum;
+    const double* __restrict rdc = rdc_.data();
+    const std::size_t* __restrict idx = idx_.data();
+    second0_ = linalg::lane_sum(m, [&](std::size_t i) {
+      const double r = rdc[i];
+      return m2_at_x0[idx[i]] * r * r;
+    });
   }
 }
 
@@ -194,8 +197,9 @@ Phi::Derivs SeparableRestriction::derivs(double t) {
   const SimdLevel level = simd_dispatch_level();
   const bool fastmath = simd_fastmath_enabled();
   if (pool_ != nullptr && m >= kParallelMinSlots) {
-    // Elementwise probe work sharded; the sums below stay serial, so the
-    // Derivs are bit-identical to the serial path.
+    // Elementwise probe work sharded; the sums below run on the calling
+    // thread in lane order, so the Derivs are bit-identical to the serial
+    // path.
     const auto chunks = runtime::make_chunks_for_width(
         m, runtime::ChunkOptions{.grain = 512}, pool_->size());
     runtime::TaskGroup group(*pool_);
@@ -209,16 +213,14 @@ Phi::Derivs SeparableRestriction::derivs(double t) {
     eval_range(0, m, t, level, fastmath);
   }
 
-  Derivs out;
   const double* __restrict rdc = rdc_.data();
   const double* __restrict m1 = m1_.data();
   const double* __restrict m2 = m2_.data();
-  for (std::size_t i = 0; i < m; ++i) {
+  const auto [first, second] = linalg::lane_sums<2>(m, [&](std::size_t i) {
     const double r = rdc[i];
-    out.first += m1[i] * r;
-    out.second += m2[i] * r * r;
-  }
-  return out;
+    return std::array<double, 2>{m1[i] * r, m2[i] * r * r};
+  });
+  return {first, second};
 }
 
 double SeparableRestriction::second_at_zero() {

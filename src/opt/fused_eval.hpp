@@ -26,6 +26,11 @@
 // the partition is a strong hint, not an invariant; the kernels re-check
 // per vector and blend on mixed vectors, which keeps them bit-exact.
 //
+// The probe sums phi' and phi'' (and phi''(0) from the caller's M'') run
+// in the fixed lane order of linalg/lane_sum.hpp on the calling thread:
+// eight independent add chains instead of one serial chain, the same
+// bits with or without a pool and at every SIMD level.
+//
 // Consecutive searches of one solve usually share that partition: while
 // the active set holds, the same terms have rd_k != 0 and few cross a
 // pivot. reset() therefore records each term's class (inactive, below
@@ -64,9 +69,9 @@ class SeparableRestriction final : public Phi {
   /// the previous reset on `f`, the partition is reused (see above).
   ///
   /// A non-null `pool` shards the rd spmv and each probe's elementwise
-  /// work (xt fill + kernel sub-ranges) across it; the probe sums stay
-  /// serial, so every Derivs is bit-identical to the serial path. The
-  /// pool is borrowed until the next reset.
+  /// work (xt fill + kernel sub-ranges) across it; the probe sums run in
+  /// lane order on the calling thread, so every Derivs is bit-identical
+  /// to the serial path. The pool is borrowed until the next reset.
   void reset(const SeparableConcaveObjective& f, std::span<const double> x0,
              std::span<const double> d,
              std::span<const double> m2_at_x0 = {},

@@ -1,9 +1,11 @@
 #include "opt/gradient_projection.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
+#include "linalg/lane_sum.hpp"
 #include "runtime/parallel.hpp"
 #include "util/error.hpp"
 
@@ -19,34 +21,32 @@ constexpr double kSnapUpperRel = 1e-13;  // relative snap-to-alpha threshold
 // independently of the iteration count.
 constexpr int kInnerRefreshInterval = 64;
 
+// The O(n) reductions run in lane order (linalg/lane_sum.hpp) on the
+// calling thread: a fixed order, so the iterate sequence is the same at
+// every pool size and SIMD level.
 double norm2(std::span<const double> v) {
-  double sum = 0.0;
-  for (double x : v) sum += x * x;
-  return std::sqrt(sum);
+  return std::sqrt(
+      linalg::lane_sum(v.size(), [v](std::size_t j) { return v[j] * v[j]; }));
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {
-  double sum = 0.0;
-  for (std::size_t j = 0; j < a.size(); ++j) sum += a[j] * b[j];
-  return sum;
+  return linalg::lane_sum(a.size(),
+                          [a, b](std::size_t j) { return a[j] * b[j]; });
 }
 
 // Projects `v` onto the subspace of the active constraints: zero on bound-
 // active coordinates, orthogonal (in the free coordinates) to the budget
-// normal u. The reductions stay serial (summation order is part of the
-// bit-identity contract); a non-null pool shards only the elementwise
-// write pass, which is bit-identical under any sharding.
+// normal u. A non-null pool shards only the elementwise write pass, which
+// is bit-identical under any sharding.
 void project_direction(std::span<const double> v, std::span<const double> u,
                        const std::vector<BoundState>& bounds,
                        std::span<double> out,
                        runtime::ThreadPool* pool = nullptr) {
-  double vu = 0.0, uu = 0.0;
-  for (std::size_t j = 0; j < v.size(); ++j) {
-    if (bounds[j] == BoundState::kFree) {
-      vu += v[j] * u[j];
-      uu += u[j] * u[j];
-    }
-  }
+  const auto [vu, uu] =
+      linalg::lane_sums<2>(v.size(), [&](std::size_t j) {
+        const double w = bounds[j] == BoundState::kFree ? u[j] : 0.0;
+        return std::array<double, 2>{v[j] * w, u[j] * w};
+      });
   const double lambda = uu > 0.0 ? vu / uu : 0.0;
   auto write = [&](std::size_t j) {
     out[j] = bounds[j] == BoundState::kFree ? v[j] - lambda * u[j] : 0.0;
@@ -299,11 +299,10 @@ SolveResult maximize(const Objective& f,
     // Search direction: projected gradient, optionally conjugate-mixed.
     d = s;
     if (options.polak_ribiere && have_prev) {
-      double num = 0.0, den = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        num += s[j] * (s[j] - s_prev[j]);
-        den += s_prev[j] * s_prev[j];
-      }
+      const auto [num, den] = linalg::lane_sums<2>(n, [&](std::size_t j) {
+        return std::array<double, 2>{s[j] * (s[j] - s_prev[j]),
+                                     s_prev[j] * s_prev[j]};
+      });
       const double beta = den > 0.0 ? std::max(0.0, num / den) : 0.0;
       if (beta > 0.0) {
         for (std::size_t j = 0; j < n; ++j) d[j] = s[j] + beta * d_prev[j];
@@ -355,6 +354,11 @@ SolveResult maximize(const Objective& f,
     } else {
       GenericPhi phi(f, result.p, d, ws.eval);
       ls = maximize_phi(phi, t_max, options.line_search, phi0);
+    }
+    if (phi0 > 0.0) {  // the search probed t_max, then ls.iters more
+      ++result.line_searches;
+      result.interior_searches += ls.hit_boundary ? 0 : 1;
+      result.line_search_probes += 1 + ls.iters;
     }
     if (ls.t <= 0.0) {
       // No numerical progress possible along d: decide via the KKT
@@ -554,6 +558,10 @@ SolveResult maximize(const Objective& f,
       static_cast<std::uint64_t>(result.release_events));
   options.counters.activation_events.inc(
       static_cast<std::uint64_t>(result.activation_events));
+  options.counters.line_searches.inc(
+      static_cast<std::uint64_t>(result.line_searches));
+  options.counters.line_search_probes.inc(
+      static_cast<std::uint64_t>(result.line_search_probes));
   options.counters.solves.inc();
   if (result.status == SolveStatus::kCancelled) options.counters.cancelled.inc();
 

@@ -4,8 +4,9 @@
 // At every iteration the gradient is projected onto the subspace spanned
 // by the currently active constraints; the point moves along the
 // (optionally Polak-Ribiere-mixed) projected direction until the
-// objective is maximized on the segment (safeguarded Newton 1-D search)
-// or an inactive constraint is hit. When the projected gradient
+// objective is maximized on the segment (safeguarded Newton 1-D search,
+// stopped at a strong-Wolfe step, line_search.hpp) or an inactive
+// constraint is hit. When the projected gradient
 // vanishes, the KKT multipliers decide: all non-negative => certified
 // global optimum (the objective is concave and the feasible set convex);
 // otherwise the active constraints with negative multipliers are
@@ -24,7 +25,13 @@
 //   -||s|| (s the projected gradient) before it searches, instead of
 //   waiting for s to vanish.
 // The certificate is unchanged: kOptimal only when s vanishes and every
-// multiplier is >= -kkt_tol.
+// multiplier is >= -kkt_tol. The search only decides how far each step
+// goes, so an inexact step never weakens it.
+//
+// The O(n) reductions of an iteration (projection, norms, phi'(0), the
+// Polak-Ribiere ratio) and the line-search probe sums run in a fixed
+// lane order (linalg/lane_sum.hpp) on the calling thread, so the iterate
+// sequence is the same at every pool size and SIMD level.
 #pragma once
 
 #include <functional>
@@ -55,6 +62,7 @@ struct SolverOptions {
   /// (ablation).
   bool polak_ribiere = true;
   /// 1-D search configuration (Newton by default; bisection ablation).
+  /// Both stop at the strong-Wolfe exit (kWolfeSigma).
   LineSearchOptions line_search;
   /// Use the fused evaluation path when the objective is separable:
   /// value + gradient + per-term derivatives from one matrix traversal,
@@ -85,9 +93,9 @@ struct SolverOptions {
   /// evaluation work — inner-product spmv, fused term kernels, gradient
   /// scatter, line-search probes, projection/update writes — is sharded
   /// across this pool with deterministic chunking. Order-sensitive
-  /// reductions stay serial, so the iterate sequence (and hence the
-  /// SolveResult) is bit-identical to the serial solve at every thread
-  /// count; the knob changes throughput only. Borrowed; must outlive the
+  /// reductions run in lane order on the calling thread, so the iterate
+  /// sequence (and hence the SolveResult) is bit-identical to the serial
+  /// solve at every thread count; the knob changes throughput only. Borrowed; must outlive the
   /// solve. Safe to use from tasks already running on the same pool
   /// (TaskGroup waits help instead of blocking).
   runtime::ThreadPool* pool = nullptr;
@@ -123,6 +131,13 @@ struct SolveResult {
   /// activation); a step that activates only its blocking bound is not
   /// counted.
   int activation_events = 0;
+  /// Line searches run (every iteration that searched along a direction
+  /// with phi'(0) > 0), how many of them ended inside the segment, and
+  /// the phi'/phi'' probes all of them spent. A blocked search costs one
+  /// probe, an interior one the t_max probe plus its Newton steps.
+  int line_searches = 0;
+  int interior_searches = 0;
+  int line_search_probes = 0;
   /// Budget multiplier lambda at termination.
   double lambda = 0.0;
   /// Most negative bound multiplier at termination (>= -tol if optimal).

@@ -1,5 +1,6 @@
 #include "opt/line_search.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -31,6 +32,56 @@ double GenericPhi::second_at_zero() {
   return f_.directional_second(point, d_, ws_);
 }
 
+namespace {
+
+/// phi'(t) = g and phi''(t) = h at one probe point.
+struct Probe {
+  double t = 0.0;
+  double g = 0.0;
+  double h = 0.0;
+};
+
+/// Zero of the cubic Hermite interpolant of phi' through probes a and b,
+/// by Newton's method on the cubic from b (its first iterate is the
+/// plain Newton step from b). Two probes with their slopes model phi'
+/// to third order where one probe models it to first, so the zero lands
+/// far closer to the maximizer than the Newton step.
+double hermite_zero(const Probe& a, const Probe& b) {
+  const double dt = b.t - a.t;
+  const double ha = dt * a.h, hb = dt * b.h;  // slopes per unit of u
+  double u = 1.0;
+  for (int i = 0; i < 4; ++i) {
+    const double u2 = u * u, u3 = u2 * u;
+    const double p = (2.0 * u3 - 3.0 * u2 + 1.0) * a.g +
+                     (u3 - 2.0 * u2 + u) * ha +
+                     (3.0 * u2 - 2.0 * u3) * b.g + (u3 - u2) * hb;
+    const double dp = (6.0 * u2 - 6.0 * u) * a.g +
+                      (3.0 * u2 - 4.0 * u + 1.0) * ha +
+                      (6.0 * u - 6.0 * u2) * b.g + (3.0 * u2 - 2.0 * u) * hb;
+    if (!(dp * dt < 0.0)) break;  // left the decreasing branch
+    u -= p / dp;
+  }
+  return a.t + u * dt;
+}
+
+/// Where to probe next inside the bracket (lo, hi): the zero of the two-
+/// probe model through `prev` and `cur`, else the Newton step from `cur`,
+/// else the midpoint. A probe with h >= 0 has no usable slope.
+double model_zero(const Probe& prev, const Probe& cur, double lo, double hi) {
+  const auto inside = [lo, hi](double t) { return t > lo && t < hi; };
+  if (cur.h < 0.0) {
+    if (prev.h < 0.0) {
+      const double zero = hermite_zero(prev, cur);
+      if (inside(zero)) return zero;
+    }
+    const double newton = cur.t - cur.g / cur.h;
+    if (inside(newton)) return newton;
+  }
+  return 0.5 * (lo + hi);
+}
+
+}  // namespace
+
 LineSearchResult maximize_phi(Phi& phi, double t_max,
                               const LineSearchOptions& options,
                               double derivative_at_zero) {
@@ -55,35 +106,48 @@ LineSearchResult maximize_phi(Phi& phi, double t_max,
     return result;
   }
 
-  // Bracket [lo, hi] with phi'(lo) > 0 > phi'(hi).
+  // Bracket [lo, hi] with phi'(lo) > 0 > phi'(hi). gain_lo is a proven
+  // lower bound on phi(lo) - phi(0).
   double lo = 0.0, hi = t_max;
-  double t = t_max;
+  double gain_lo = 0.0;
+  // The probe before the current one, for the two-probe model. The first
+  // step models phi' from t = 0 (phi''(0) comes from the restriction) and
+  // the t_max probe; the bisection ablation has no slopes (h = 0).
+  Probe prev{0.0, derivative_at_zero, 0.0};
+  double t = 0.5 * t_max;
   if (options.newton) {
-    const double second0 = phi.second_at_zero();
-    t = second0 < 0.0 ? std::min(t_max, -derivative_at_zero / second0)
-                      : 0.5 * t_max;
-  } else {
-    t = 0.5 * t_max;
+    prev.h = phi.second_at_zero();
+    t = model_zero({t_max, at_max.first, at_max.second}, prev, lo, hi);
   }
 
-  const double target = options.tol * derivative_at_zero;
+  const double curvature = kWolfeSigma * derivative_at_zero;
   for (int iter = 0; iter < options.max_iters; ++iter) {
     result.iters = iter + 1;
     const Phi::Derivs at = phi.derivs(t);
-    if (std::abs(at.first) <= target) break;
-    if (at.first > 0.0) lo = t;
-    else hi = t;
-    double next;
-    if (options.newton && at.second < 0.0) {
-      next = t - at.first / at.second;
-      if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);  // safeguard
+    // Concavity: phi(t) >= phi(lo) + (t - lo) phi'(t) >= phi(0) + gain.
+    const double gain = gain_lo + (t - lo) * at.first;
+    const bool flat = std::abs(at.first) <= curvature;
+    if (flat && gain >= 0.0) break;  // strong Wolfe: accept t
+    if (at.first > 0.0) {
+      lo = t;
+      gain_lo = gain;
     } else {
-      next = 0.5 * (lo + hi);
+      hi = t;
     }
     if (hi - lo <= 1e-16 * std::max(1.0, t_max)) {
       t = 0.5 * (lo + hi);
       break;
     }
+    const Probe cur{t, at.first, at.second};
+    double next = 0.5 * (lo + hi);  // bisection, the safeguard
+    if (options.newton) {
+      const double zero = model_zero(prev, cur, lo, hi);
+      // A flat descending probe whose ascent is unproven steps past the
+      // zero to its mirror image, on the ascending side.
+      const double step = flat ? 2.0 * zero - t : zero;
+      if (step > lo && step < hi) next = step;
+    }
+    prev = cur;
     t = next;
   }
   result.t = t;

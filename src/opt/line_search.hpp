@@ -5,6 +5,27 @@
 // uses Newton's method for the 1-D search (fast, needs C^2); a bisection
 // fallback doubles as the safeguard and as the ablation variant.
 //
+// The search is inexact: an interior step is accepted as soon as it meets
+// the strong-Wolfe conditions for maximization,
+//   |phi'(t)| <= kWolfeSigma * phi'(0)    (curvature)
+//   phi(t) >= phi(0)                      (ascent),
+// instead of being polished until phi'(t) vanishes. Ascent is proved from
+// derivatives alone, by concavity: phi lies below its tangents, so
+// phi(t) >= phi(lo) + (t - lo) phi'(t) for the last ascending probe lo,
+// and phi(lo) - phi(0) is bounded the same way probe by probe. On the
+// ascending side (phi'(t) >= 0) the bound holds trivially; a descending
+// probe that meets the curvature condition but not the bound steps to
+// the mirror image of itself about the model maximizer, on the ascending
+// side.
+//
+// Steps come from a two-probe model: the cubic Hermite interpolant of
+// phi' through the last two probes (values and slopes), whose zero is far
+// closer to the maximizer than a Newton step from one probe. The first
+// step models phi' from t = 0 (phi'(0) and phi''(0) are in hand) and the
+// t_max probe that ruled out a blocked step. A model step outside the
+// bracket falls back to Newton, then to bisection. An interior search
+// typically costs the t_max probe plus one or two steps.
+//
 // The search itself only ever sees the restriction phi(t) = f(p + t d)
 // through the Phi interface: GenericPhi evaluates it via the objective's
 // gradient (any Objective), while opt::SeparableRestriction (fused_eval.
@@ -20,15 +41,20 @@
 
 namespace netmon::opt {
 
+/// Curvature constant sigma of the strong-Wolfe exit. Polak-Ribiere+
+/// keeps its global convergence guarantee (Gilbert-Nocedal) for any
+/// sigma < 1/4; this one is small enough that an inexact step leaves the
+/// iteration count where the exact search had it (DESIGN.md §7).
+inline constexpr double kWolfeSigma = 1e-5;
+
 /// Line-search configuration.
 struct LineSearchOptions {
   /// Use Newton steps (safeguarded by a shrinking bracket); when false,
   /// pure bisection on the directional derivative.
   bool newton = true;
-  /// Maximum Newton/bisection iterations.
+  /// Maximum Newton/bisection iterations. The search also stops when the
+  /// strong-Wolfe conditions hold or the bracket is tiny.
   int max_iters = 80;
-  /// Stop when |phi'(t)| <= tol * |phi'(0)| or the bracket is tiny.
-  double tol = 1e-12;
 };
 
 /// Outcome of a line search.
@@ -42,7 +68,9 @@ struct LineSearchResult {
   /// maximizer from them to activate several bounds in one step.
   double first_at_max = 0.0;
   double second_at_max = 0.0;
-  /// Iterations spent.
+  /// Newton/bisection probes after the one at t_max: a search with
+  /// phi'(0) > 0 evaluates derivs() 1 + iters times (iters = 0 when it is
+  /// blocked).
   int iters = 0;
 };
 

@@ -151,6 +151,15 @@ TEST(SolverCounters, CountSolvesIterationsReleasesAndActivations) {
   EXPECT_EQ(snap.find("netmon_solver_activation_events_total")->value,
             static_cast<double>(a.activation_events + b.activation_events));
   EXPECT_EQ(snap.find("netmon_solver_cancelled_total")->value, 0.0);
+  // Line-search probes: at least one per search, and every interior
+  // search adds its Newton steps.
+  ASSERT_GT(a.line_searches, 0);
+  EXPECT_GE(a.line_search_probes, a.line_searches + a.interior_searches);
+  EXPECT_LE(a.interior_searches, a.line_searches);
+  EXPECT_EQ(snap.find("netmon_solver_line_searches_total")->value,
+            static_cast<double>(a.line_searches + b.line_searches));
+  EXPECT_EQ(snap.find("netmon_solver_line_search_probes_total")->value,
+            static_cast<double>(a.line_search_probes + b.line_search_probes));
 }
 
 TEST(SolverCounters, CancelledSolvesAreCounted) {

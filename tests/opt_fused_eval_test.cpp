@@ -11,10 +11,12 @@
 
 #include "core/scenario.hpp"
 #include "core/utility.hpp"
+#include "linalg/lane_sum.hpp"
 #include "opt/fused_eval.hpp"
 #include "opt/gradient_projection.hpp"
 #include "opt/line_search.hpp"
 #include "opt/objective.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace netmon::opt {
@@ -239,17 +241,24 @@ TEST(Restriction, MatchesGenericPhiAndSkipsUntouchedTerms) {
   }
 
   // Probes must not touch terms the direction leaves alone: the compact
-  // sums equal full-width sums computed over every term.
+  // sums equal the sums over the terms with rd_k != 0, taken in the
+  // probe's lane order (every GEANT term starts in one pivot regime, so
+  // the compact slots keep term order).
   const Phi::Derivs at = restriction.derivs(1e-3);
   std::vector<double> xt(f.term_count()), rd(f.term_count());
   linalg::spmv(f.matrix(), d, rd);
   for (std::size_t k = 0; k < xt.size(); ++k) xt[k] = x0[k] + 1e-3 * rd[k];
-  double first = 0.0, second = 0.0;
+  std::vector<std::size_t> touched;
   for (std::size_t k = 0; k < xt.size(); ++k) {
-    if (rd[k] == 0.0) continue;  // exact-zero contributions
-    first += f.utility(k).deriv(xt[k]) * rd[k];
-    second += f.utility(k).second(xt[k]) * rd[k] * rd[k];
+    if (rd[k] != 0.0) touched.push_back(k);  // exact-zero contributions
   }
+  const auto [first, second] =
+      linalg::lane_sums<2>(touched.size(), [&](std::size_t i) {
+        const std::size_t k = touched[i];
+        return std::array<double, 2>{f.utility(k).deriv(xt[k]) * rd[k],
+                                     f.utility(k).second(xt[k]) * rd[k] *
+                                         rd[k]};
+      });
   EXPECT_EQ(at.first, first);
   EXPECT_EQ(at.second, second);
 }
@@ -324,6 +333,56 @@ TEST(Restriction, ReusedPartitionMatchesFreshResetBitwise) {
       EXPECT_EQ(a.second, b.second) << "step " << i << " t=" << t;
     }
   }
+}
+
+// The probe sums run in a fixed lane order on the calling thread: a
+// pool only shards the elementwise work and the SIMD level only changes
+// the kernels, which are bit-exact, so every combination returns the same
+// bits, and the caller-provided phi''(0) still equals derivs(0).second.
+TEST(Restriction, LaneOrderProbesBitIdenticalAcrossPoolsAndSimdLevels) {
+  const SimdLevel saved_level = simd_dispatch_level();
+  // Above the restriction's parallel threshold, so the pool is used.
+  const RandomObjective r(71, 400, 6000, 1);
+  const auto& f = *r.f;
+  const std::vector<double> x0 = f.inner(r.p);
+  std::vector<double> d(f.dimension());
+  Rng rng(12);
+  for (double& dj : d) dj = rng.uniform(-1.0, 1.0);
+  linalg::EvalWorkspace ws;
+  std::vector<double> g(f.dimension());
+  const auto fe = f.fused_eval(r.p, g, ws);
+  const double ts[] = {0.0, 1e-4, 3e-3};
+
+  set_simd_dispatch_level(SimdLevel::kScalar);
+  SeparableRestriction reference;
+  reference.reset(f, x0, d, fe.m2);
+  ASSERT_GE(reference.active_terms(), 4096u);
+  std::vector<Phi::Derivs> expected;
+  for (const double t : ts) expected.push_back(reference.derivs(t));
+  EXPECT_EQ(reference.second_at_zero(), expected[0].second);
+
+  runtime::ThreadPool pool(3);
+  for (int l = 0; l <= static_cast<int>(simd_max_level()); ++l) {
+    const auto level = static_cast<SimdLevel>(l);
+    set_simd_dispatch_level(level);
+    for (runtime::ThreadPool* p : {static_cast<runtime::ThreadPool*>(nullptr),
+                                   &pool}) {
+      SeparableRestriction restriction;
+      restriction.reset(f, x0, d, fe.m2, p);
+      EXPECT_EQ(restriction.second_at_zero(), expected[0].second)
+          << simd_level_name(level);
+      for (std::size_t i = 0; i < std::size(ts); ++i) {
+        const Phi::Derivs at = restriction.derivs(ts[i]);
+        EXPECT_EQ(at.first, expected[i].first)
+            << simd_level_name(level) << " pool=" << (p != nullptr)
+            << " t=" << ts[i];
+        EXPECT_EQ(at.second, expected[i].second)
+            << simd_level_name(level) << " pool=" << (p != nullptr)
+            << " t=" << ts[i];
+      }
+    }
+  }
+  set_simd_dispatch_level(saved_level);
 }
 
 TEST(IncrementalRho, ColumnAxpyMatchesFullRecompute) {
