@@ -9,9 +9,13 @@
 //   drop       — same instance under kDrop with a tiny ring: the
 //                offered == consumed + dropped invariant, observed rate
 //   ring       — raw 2-thread SPSC transfer rate, records/sec
+//   replay     — the heaviest monitored link's calendar replay alone
+//                (one thread, no ring, best of 3), ns/packet: the
+//                per-producer cost that bounds the pipeline's wall time
 // scripts/perf_gate.sh holds throughput to a >= 1M pkts/sec floor (on
 // machines with >= 4 hardware threads), drop_rate to exactly 0, and
-// both throughput rows to a regression band against the baseline.
+// the throughput and replay rows to a regression band against the
+// baseline.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -101,6 +105,25 @@ double ring_records_per_sec() {
   return static_cast<double>(kTotal) / (watch.elapsed_ms() * 1e-3);
 }
 
+/// One source drained alone on this thread: ns per packet, best of 3
+/// (a fresh source each round, construction not timed).
+double replay_ns_per_packet(const ingest::SyntheticTraffic& traffic,
+                            topo::LinkId link) {
+  std::vector<ingest::PacketRecord> batch(256);
+  double best = 0.0;
+  for (int round = 0; round < 3; ++round) {
+    const auto source = traffic.source(link);
+    std::uint64_t packets = 0;
+    StopWatch watch;
+    while (!source->exhausted())
+      packets += source->next_batch(batch.data(), batch.size());
+    const double ns =
+        watch.elapsed_ms() * 1e6 / static_cast<double>(packets);
+    if (round == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
 }  // namespace
 
 int main() {
@@ -147,6 +170,16 @@ int main() {
   std::printf("  raw ring: %.1fM records/sec (2 threads, batch 256)\n",
               ring_rate * 1e-6);
 
+  topo::LinkId heaviest = 0;
+  for (topo::LinkId l = 0; l < instance.rates.size(); ++l)
+    if (instance.traffic.packets_on(l) > instance.traffic.packets_on(heaviest))
+      heaviest = l;
+  const double replay_ns = replay_ns_per_packet(instance.traffic, heaviest);
+  std::printf(
+      "  heaviest link replay: %.1f ns/packet (%llu packets, 1 thread)\n",
+      replay_ns,
+      static_cast<unsigned long long>(instance.traffic.packets_on(heaviest)));
+
   BenchReport report("ingest_perf", threads);
   report.result("throughput")
       .metric("ingest_pkts_per_sec", best.packets_per_sec)
@@ -161,6 +194,10 @@ int main() {
       .metric("drop_rate", lossy.drop_rate())
       .metric("drop_accounting_closed", accounted ? 1.0 : 0.0);
   report.result("ring").metric("ring_records_per_sec", ring_rate);
+  report.result("replay")
+      .metric("replay_ns_per_packet", replay_ns)
+      .metric("replay_packets",
+              static_cast<double>(instance.traffic.packets_on(heaviest)));
   report.emit();
   return accounted ? 0 : 1;
 }

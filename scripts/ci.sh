@@ -13,8 +13,10 @@
 # via opt_simd_dispatch_test (the gate for the branch-free select
 # arithmetic in src/core/utility_kernels.hpp and the intrinsic kernels).
 # Both the ASan and the UBSan leg also run the synthetic packet replay
-# suites (the gate for its bucket-index arithmetic and intrusive list
-# indices), and the approximation tier and sharded-solve suites (the
+# suites (the gate for its bucket and sub-bucket index arithmetic, the
+# counting scatter and the intrusive list indices) and the ingest
+# pipeline suite (producer assignment and per-producer accounting), and
+# the approximation tier and sharded-solve suites (the
 # polish and the pool path run the solver's bulk active-set moves). Both
 # also run the line-search suite (the strong-Wolfe exit and its two-probe
 # model steps), and the ASan leg the fused-evaluation suite (the lane-
@@ -57,24 +59,26 @@ echo "== tier-2: ASan gate on linalg kernels + solver + rerouting + wire decodin
 ASAN_TESTS="linalg_sparse_test opt_objective_test opt_gradient_projection_test \
 opt_zero_alloc_test core_solver_test estimate_flow_inversion_test \
 serve_wire_test serve_tcp_fuzz_test routing_reroute_test core_reoptimize_test \
-ingest_synthetic_test ingest_zero_alloc_test core_approx_test \
-opt_parallel_solve_test opt_line_search_test opt_fused_eval_test"
+ingest_synthetic_test ingest_zero_alloc_test ingest_pipeline_test \
+core_approx_test opt_parallel_solve_test opt_line_search_test \
+opt_fused_eval_test"
 cmake -B "${PREFIX}-asan" -S . -DNETMON_SANITIZE=address
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target ${ASAN_TESTS}
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-  -R 'linalg_sparse_test|opt_objective_test|opt_gradient_projection_test|opt_zero_alloc_test|core_solver_test|estimate_flow_inversion_test|serve_wire_test|serve_tcp_fuzz_test|routing_reroute_test|core_reoptimize_test|ingest_synthetic_test|ingest_zero_alloc_test|core_approx_test|opt_parallel_solve_test|opt_line_search_test|opt_fused_eval_test'
+  -R 'linalg_sparse_test|opt_objective_test|opt_gradient_projection_test|opt_zero_alloc_test|core_solver_test|estimate_flow_inversion_test|serve_wire_test|serve_tcp_fuzz_test|routing_reroute_test|core_reoptimize_test|ingest_synthetic_test|ingest_zero_alloc_test|ingest_pipeline_test|core_approx_test|opt_parallel_solve_test|opt_line_search_test|opt_fused_eval_test'
 
 echo "== tier-2: UBSan gate on the fused batch kernels + solver =="
 UBSAN_TESTS="core_utility_test opt_fused_eval_test opt_objective_test \
 opt_gradient_projection_test core_solver_test opt_simd_dispatch_test \
 core_reoptimize_test ingest_synthetic_test ingest_zero_alloc_test \
-core_approx_test opt_parallel_solve_test opt_line_search_test"
+ingest_pipeline_test core_approx_test opt_parallel_solve_test \
+opt_line_search_test"
 cmake -B "${PREFIX}-ubsan" -S . -DNETMON_SANITIZE=undefined
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target ${UBSAN_TESTS}
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
-  -R 'core_utility_test|opt_fused_eval_test|opt_objective_test|opt_gradient_projection_test|core_solver_test|opt_simd_dispatch_test|core_reoptimize_test|ingest_synthetic_test|ingest_zero_alloc_test|core_approx_test|opt_parallel_solve_test|opt_line_search_test'
+  -R 'core_utility_test|opt_fused_eval_test|opt_objective_test|opt_gradient_projection_test|core_solver_test|opt_simd_dispatch_test|core_reoptimize_test|ingest_synthetic_test|ingest_zero_alloc_test|ingest_pipeline_test|core_approx_test|opt_parallel_solve_test|opt_line_search_test'
 
 echo "== tier-2: x86-64-v3 leg — SIMD suites at every dispatch level =="
 # The wider baseline ISA lets the compiler auto-vectorize every TU; the

@@ -20,7 +20,8 @@
 # lossless (kBlock) pipeline must drop exactly nothing and the kDrop
 # accounting must close on every run; the >= 1M pkts/sec throughput
 # floor applies on machines with >= 4 hardware threads; and both
-# throughput rows get the same 50% band as the scale timings.
+# throughput rows and the heaviest link's single-thread replay cost
+# (ns/packet) get the same 50% band as the scale timings.
 # A fourth section reruns serve_perf against BENCH_serve.json: the
 # cache-hit replay must be bit-identical and must not move the solver
 # invocation counter (both hard correctness bits measured per run), the
@@ -328,11 +329,11 @@ else
   echo "perf_gate: skip ingest_pkts_per_sec floor (hw_threads=${ingest_hw} < 4)"
 fi
 
-# Regression band vs the committed baseline: higher is better, with the
-# wide 50% band — seconds-scale pipeline runs share the scaling section's
-# noise profile, not the kernel minima's.
-check_ingest() { # key — throughput metric, higher is better
-  local key="$1" old new
+# Regression band vs the committed baseline, with the wide 50% band —
+# seconds-scale pipeline runs share the scaling section's noise profile,
+# not the kernel minima's.
+check_ingest() { # key lower|higher — vs the ingest baseline
+  local key="$1" dir="$2" old new
   old="$(extract "${INGEST_BASELINE}" "${key}")"
   new="$(extract "${INGEST_TMP}" "${key}")"
   if [ -z "${old}" ] || [ -z "${new}" ]; then
@@ -340,8 +341,9 @@ check_ingest() { # key — throughput metric, higher is better
     fail=1
     return
   fi
-  if awk -v o="${old}" -v n="${new}" -v t="${TOL}" \
-      'BEGIN { exit (n >= o / t) ? 0 : 1 }'; then
+  if awk -v o="${old}" -v n="${new}" -v t="${TOL}" -v d="${dir}" \
+      'BEGIN { ok = (d == "lower") ? (n <= o * t) : (n >= o / t);
+               exit ok ? 0 : 1 }'; then
     printf 'perf_gate: ok   %-22s baseline=%-12s new=%s\n' \
       "${key}" "${old}" "${new}"
   else
@@ -350,8 +352,11 @@ check_ingest() { # key — throughput metric, higher is better
     fail=1
   fi
 }
-check_ingest ingest_pkts_per_sec
-check_ingest ring_records_per_sec
+check_ingest ingest_pkts_per_sec higher
+check_ingest ring_records_per_sec higher
+# The heaviest monitored link's calendar replay alone on one thread: the
+# per-producer cost that bounds the pipeline's wall time.
+check_ingest replay_ns_per_packet lower
 
 # ---- serve section: transport throughput + the tenant solve cache ----
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <optional>
 #include <thread>
 
@@ -43,6 +44,8 @@ struct IngestPipeline::SourceState {
   std::unique_ptr<netflow::FlowTable> table;
   std::vector<netflow::FlowRecord> exported;
   topo::LinkId link = topo::kInvalidId;
+  /// The producer thread that owns `source` (assign_producers).
+  unsigned producer = 0;
   double rate = 0.0;
   double last_ts = 0.0;
   std::uint64_t produced = 0;
@@ -83,6 +86,9 @@ IngestPipeline::IngestPipeline(const sampling::RateVector& rates,
                     "sample+fold latency per consumed batch");
     packets_per_sec_ = m.gauge("netmon_ingest_pkts_per_sec",
                                "sustained ingest throughput of the run");
+    producer_packets_max_ =
+        m.gauge("netmon_ingest_producer_packets_max",
+                "packets replayed by the busiest producer of the run");
   }
 }
 
@@ -121,8 +127,31 @@ void IngestPipeline::add_sources(
   for (auto& source : sources) add_source(std::move(source));
 }
 
-void IngestPipeline::producer_loop(std::size_t producer_index,
-                                   unsigned producer_count) {
+void IngestPipeline::assign_producers(unsigned producers) {
+  // Heaviest first (ties: lower source index) to the least-loaded
+  // producer (ties: lower producer index). A hint-less source weighs 1,
+  // so a set of them comes out round-robin. Results do not depend on the
+  // assignment: all per-packet state is keyed by source.
+  const auto weight = [this](std::size_t i) {
+    return std::max<std::uint64_t>(sources_[i]->source->expected_packets(),
+                                   1);
+  };
+  std::vector<std::size_t> order(sources_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return weight(a) > weight(b);
+                   });
+  std::vector<std::uint64_t> load(producers, 0);
+  for (const std::size_t i : order) {
+    const auto lightest = static_cast<unsigned>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    sources_[i]->producer = lightest;
+    load[lightest] += weight(i);
+  }
+}
+
+void IngestPipeline::producer_loop(unsigned producer) {
   const obs::Clock* clock = deps_.clock;
   // Each owned source has its own staging batch, filled in place by
   // next_batch; [off, len) is what has not reached the ring yet (under
@@ -134,10 +163,10 @@ void IngestPipeline::producer_loop(std::size_t producer_index,
     std::size_t len = 0;
   };
   std::vector<Slot> slots;
-  for (std::size_t i = producer_index; i < sources_.size();
-       i += producer_count) {
+  for (const auto& state : sources_) {
+    if (state->producer != producer) continue;
     Slot slot;
-    slot.state = sources_[i].get();
+    slot.state = state.get();
     slot.pending.resize(options_.batch);
     slots.push_back(std::move(slot));
   }
@@ -265,6 +294,7 @@ IngestStats IngestPipeline::run() {
     }
     stats_.producer_threads = producers;
     stats_.consumer_shards = shards;
+    assign_producers(producers);
     producers_running_.store(producers, std::memory_order_release);
 
     if (deps_.pool != nullptr) {
@@ -276,8 +306,7 @@ IngestStats IngestPipeline::run() {
       std::vector<std::thread> threads;
       threads.reserve(producers);
       for (unsigned p = 0; p < producers; ++p)
-        threads.emplace_back(
-            [this, p, producers] { producer_loop(p, producers); });
+        threads.emplace_back([this, p] { producer_loop(p); });
       for (std::thread& t : threads) t.join();
       group.wait();
     } else {
@@ -286,8 +315,7 @@ IngestStats IngestPipeline::run() {
       std::vector<std::thread> threads;
       threads.reserve(producers);
       for (unsigned p = 0; p < producers; ++p)
-        threads.emplace_back(
-            [this, p, producers] { producer_loop(p, producers); });
+        threads.emplace_back([this, p] { producer_loop(p); });
       consumer_loop(0, 1);
       for (std::thread& t : threads) t.join();
     }
@@ -295,7 +323,9 @@ IngestStats IngestPipeline::run() {
 
   // Single-threaded tail: feed the collector in source order (the
   // aggregation is commutative, so this order is presentational only).
+  std::vector<std::uint64_t> producer_packets(stats_.producer_threads, 0);
   for (const auto& state : sources_) {
+    producer_packets[state->producer] += state->produced;
     for (const netflow::FlowRecord& record : state->exported)
       collector_.receive(record, state->link, state->rate);
     stats_.exported_records += state->exported.size();
@@ -304,6 +334,11 @@ IngestStats IngestPipeline::run() {
     stats_.sampled_packets += state->sampled;
     stats_.dropped_packets += state->ring->dropped();
   }
+  if (!producer_packets.empty())
+    stats_.max_producer_packets =
+        *std::max_element(producer_packets.begin(), producer_packets.end());
+  producer_packets_max_.set(
+      static_cast<double>(stats_.max_producer_packets));
   exported_total_.inc(stats_.exported_records);
   dropped_total_.inc(stats_.dropped_packets);
 

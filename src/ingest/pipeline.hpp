@@ -2,7 +2,8 @@
 // tables -> exporter/collector, on the runtime pool.
 //
 //   PacketSource (per link: synthetic replay or pcap trace)
-//        |          producer threads, sources partitioned round-robin;
+//        |          producer threads; sources go heaviest first (by
+//        |          expected_packets) to the least-loaded producer;
 //        v          one producer owns a source, so each ring stays SPSC
 //   SpscRing<PacketRecord>   (one per source; NETMON_INGEST_RING slots;
 //        |                    overflow policy: block = backpressure,
@@ -68,8 +69,11 @@ struct IngestOptions {
   std::size_t ring_capacity = 0;
   /// Records moved per ring synchronization point.
   std::size_t batch = 256;
-  /// Producer threads; sources are partitioned round-robin across them
-  /// (clamped to the source count).
+  /// Producer threads (clamped to the source count). Sources are
+  /// assigned heaviest first by expected_packets() (0 counts as 1) to
+  /// the producer with the least expected load (ties: lowest index), so
+  /// the heaviest link does not share its producer while lighter ones
+  /// can pair up.
   unsigned producers = 2;
   /// Consumer shards; 0 = one per pool worker. Clamped to
   /// [1, min(pool size, source count)].
@@ -106,6 +110,9 @@ struct IngestStats {
   std::uint64_t exported_records = 0;
   std::size_t sources = 0;
   unsigned producer_threads = 0;
+  /// Packets replayed by the busiest producer: the ingest critical path
+  /// when replay, not consumption, bounds the run.
+  std::uint64_t max_producer_packets = 0;
   unsigned consumer_shards = 0;
   double elapsed_sec = 0.0;
   /// consumed_packets / elapsed_sec (0 when the clock stood still).
@@ -146,7 +153,8 @@ class IngestPipeline {
  private:
   struct SourceState;
 
-  void producer_loop(std::size_t producer_index, unsigned producer_count);
+  void assign_producers(unsigned producers);
+  void producer_loop(unsigned producer);
   void consumer_loop(std::size_t shard_index, unsigned shard_count);
   void process_batch(SourceState& state, const PacketRecord* records,
                      std::size_t count);
@@ -170,6 +178,7 @@ class IngestPipeline {
   obs::Histogram produce_batch_ns_;
   obs::Histogram consume_batch_ns_;
   obs::Gauge packets_per_sec_;
+  obs::Gauge producer_packets_max_;
 };
 
 /// Matches control::kMissing: an observation entry carrying no estimate.

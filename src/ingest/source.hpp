@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "ingest/packet.hpp"
 #include "topo/graph.hpp"
@@ -32,6 +33,11 @@ class PacketSource {
 
   /// True once the stream can never produce again.
   virtual bool exhausted() const noexcept = 0;
+
+  /// Packets the whole stream will carry (an upper bound will do), or 0
+  /// when unknown. Only a load hint: IngestPipeline balances its
+  /// producers by it.
+  virtual std::uint64_t expected_packets() const noexcept { return 0; }
 };
 
 /// Resolves the ring-capacity knob: `configured` when non-zero, else the

@@ -8,18 +8,21 @@
 // replays its schedule as PacketRecord batches through a calendar
 // queue: the link's time range is cut into fixed-width buckets of about
 // 16 scheduled packets each, active spans sit in intrusive per-bucket
-// lists, and each bucket's emissions are sorted and handed out. Work is
-// O(1) amortized per packet plus O(n log n) in the packets of one
-// bucket, and the source allocates nothing after construction, which
-// is what lets the ingest bench sustain millions of packets per second
-// per producer.
+// lists, and each bucket's emissions are ordered — a counting pass on
+// finer sub-bucket keys, then an insertion pass — and handed out. Work
+// is O(1) amortized per packet while a bucket's timestamps spread, and
+// O(m log m) for a bucket of m emissions at worst (a zero-duration
+// pileup falls back to a comparison sort). The source allocates nothing
+// after construction, which is what lets the ingest bench sustain
+// millions of packets per second per producer.
 //
 // Order contract: a link's packets come out in ascending (timestamp,
 // schedule index) order, a span's own packets (which may share a
 // timestamp) in emission order — exactly what a global merge of the
 // spans would emit — with a span's k-th timestamp accumulated as
-// start_sec plus dt_sec added k times. Bucketing cannot change that order because
-// the bucket index is a monotone function of the timestamp.
+// start_sec plus dt_sec added k times. Bucketing cannot change that
+// order because the bucket and sub-bucket indices are monotone
+// functions of the timestamp.
 //
 // Determinism: the flow populations are a pure function of (seed,
 // traffic matrix) — generate_all_flows derives one Rng stream per OD —

@@ -72,6 +72,8 @@ class TraceReader final : public PacketSource {
   topo::LinkId link() const noexcept override { return options_.link; }
   std::size_t next_batch(PacketRecord* out, std::size_t max) override;
   bool exhausted() const noexcept override { return cursor_ >= bytes_.size(); }
+  /// frame_count(): malformed frames are skipped, so an upper bound.
+  std::uint64_t expected_packets() const noexcept override { return frames_; }
 
   /// Frames validated at construction.
   std::uint64_t frame_count() const noexcept { return frames_; }

@@ -17,10 +17,11 @@
 // deallocate agree without per-pointer bookkeeping. The allocator is
 // stateless: all instances are interchangeable.
 //
-// LazyPageVector drops the huge-page advice. It is for scratch reserved
-// to a loose upper bound that is rarely filled: its untouched pages are
-// never resident and munmap hands the touched ones back to the OS, where
-// a huge page would make 2 MB resident on the first touched byte.
+// LazyPageArray drops the huge-page advice and never initialises its
+// elements. It is for scratch sized to a loose upper bound that is
+// rarely filled: its untouched pages are never resident and munmap hands
+// the touched ones back to the OS, where a huge page would make 2 MB
+// resident on the first touched byte.
 #pragma once
 
 #include <cstddef>
@@ -90,8 +91,32 @@ class PageAllocator {
 template <class T>
 using PageVector = std::vector<T, PageAllocator<T>>;
 
-/// PageVector without the huge-page advice (see the header comment).
+/// Fixed-size, uninitialised storage from PageAllocator without the
+/// huge-page advice (see the header comment). Elements must be written
+/// before they are read; nothing zero-fills them, so only the pages a
+/// caller touches become resident.
 template <class T>
-using LazyPageVector = std::vector<T, PageAllocator<T, false>>;
+class LazyPageArray {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+
+ public:
+  explicit LazyPageArray(std::size_t n)
+      : data_(n != 0 ? PageAllocator<T, false>{}.allocate(n) : nullptr),
+        size_(n) {}
+  LazyPageArray(const LazyPageArray&) = delete;
+  LazyPageArray& operator=(const LazyPageArray&) = delete;
+  ~LazyPageArray() {
+    if (data_ != nullptr) PageAllocator<T, false>{}.deallocate(data_, size_);
+  }
+
+  T* data() noexcept { return data_; }
+  std::size_t size() const noexcept { return size_; }
+  T& operator[](std::size_t i) noexcept { return data_[i]; }
+
+ private:
+  T* data_;
+  std::size_t size_;
+};
 
 }  // namespace netmon::util

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "control/loop.hpp"
@@ -41,11 +43,45 @@ struct LineScenario {
   }
 };
 
+/// Six single-hop ODs, one per directed link of the line, all monitored;
+/// A->B carries 20x the packets of each other link, so its source
+/// outweighs the other five together.
+LineScenario skewed_scenario() {
+  LineScenario s;
+  const std::vector<routing::OdPair> ods = {{0, 1}, {1, 0}, {1, 2},
+                                            {2, 1}, {2, 3}, {3, 2}};
+  s.tm.clear();
+  for (const routing::OdPair& od : ods)
+    s.tm.push_back({od, od == ods.front() ? 2000.0 : 100.0});
+  s.matrix = routing::RoutingMatrix::single_path(s.graph, ods);
+  s.rates.assign(s.graph.link_count(), 0.1);
+  s.synth.flowgen.interval_sec = 20.0;
+  return s;
+}
+
+/// Forwards to a wrapped source but gives no packet-count hint, so all
+/// sources weigh the same and producers take them round-robin.
+class HintlessSource final : public PacketSource {
+ public:
+  explicit HintlessSource(std::unique_ptr<PacketSource> inner)
+      : inner_(std::move(inner)) {}
+  topo::LinkId link() const noexcept override { return inner_->link(); }
+  std::size_t next_batch(PacketRecord* out, std::size_t max) override {
+    return inner_->next_batch(out, max);
+  }
+  bool exhausted() const noexcept override { return inner_->exhausted(); }
+
+ private:
+  std::unique_ptr<PacketSource> inner_;
+};
+
 struct RunConfig {
   unsigned producers = 1;
   unsigned pool_threads = 0;  // 0 = no pool (inline consumer)
   std::size_t ring = 0;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
+  /// Hide the sources' packet-count hints (round-robin producers).
+  bool hintless = false;
 };
 
 struct RunOutcome {
@@ -69,7 +105,11 @@ RunOutcome run_pipeline(const LineScenario& s, const SyntheticTraffic& traffic,
     deps.pool = pool.get();
   }
   IngestPipeline pipeline(s.rates, s.egress, options, deps);
-  pipeline.add_sources(traffic.sources(s.rates));
+  for (auto& source : traffic.sources(s.rates)) {
+    if (config.hintless)
+      source = std::make_unique<HintlessSource>(std::move(source));
+    pipeline.add_source(std::move(source));
+  }
   RunOutcome outcome;
   outcome.stats = pipeline.run();
   outcome.estimates =
@@ -130,25 +170,96 @@ TEST(IngestPipeline, EstimatesRecoverOdRates) {
 // estimates are bit-identical at every producer partition and consumer
 // thread count (blocking policy).
 TEST(IngestPipeline, DeterministicAcrossThreadCounts) {
-  LineScenario s;
+  // The two-source line, and six sources where one outweighs the rest:
+  // there balanced and round-robin producers partition differently.
+  for (const LineScenario& s : {LineScenario{}, skewed_scenario()}) {
+    SyntheticTraffic traffic(s.matrix, s.tm, s.synth);
+    const RunOutcome base = run_pipeline(s, traffic, {});
+    const RunConfig variants[] = {
+        {.producers = 2, .pool_threads = 1},
+        {.producers = 1, .pool_threads = 2},
+        {.producers = 2, .pool_threads = 4, .ring = 128},
+        {.producers = 4, .pool_threads = 3, .ring = 64},
+        // Round-robin producers (no hints) give the same answers as the
+        // packet-balanced ones.
+        {.producers = 2, .pool_threads = 2, .hintless = true},
+        {.producers = 3, .pool_threads = 1, .ring = 64, .hintless = true},
+    };
+    for (const RunConfig& config : variants) {
+      const RunOutcome r = run_pipeline(s, traffic, config);
+      EXPECT_EQ(r.stats.offered_packets, base.stats.offered_packets);
+      EXPECT_EQ(r.stats.sampled_packets, base.stats.sampled_packets);
+      EXPECT_EQ(r.stats.exported_records, base.stats.exported_records);
+      ASSERT_EQ(r.estimates.size(), base.estimates.size());
+      for (std::size_t k = 0; k < r.estimates.size(); ++k)
+        EXPECT_EQ(r.estimates[k], base.estimates[k])
+            << "OD " << k << " of " << r.estimates.size()
+            << " at producers=" << config.producers
+            << " pool=" << config.pool_threads
+            << " hintless=" << config.hintless;
+    }
+  }
+}
+
+/// Sum of the sources' packets per producer under round-robin over the
+/// pipeline's source order (link order, as SyntheticTraffic::sources
+/// returns them); the largest.
+std::uint64_t round_robin_max(const SyntheticTraffic& traffic,
+                              const sampling::RateVector& rates,
+                              unsigned producers) {
+  std::vector<std::uint64_t> load(producers, 0);
+  std::size_t index = 0;
+  for (const auto& source : traffic.sources(rates))
+    load[index++ % producers] += traffic.packets_on(source->link());
+  return *std::max_element(load.begin(), load.end());
+}
+
+TEST(IngestPipeline, HeaviestSourceGetsAProducerToItself) {
+  const LineScenario s = skewed_scenario();
   SyntheticTraffic traffic(s.matrix, s.tm, s.synth);
-  const RunOutcome base = run_pipeline(s, traffic, {});
-  const RunConfig variants[] = {
-      {.producers = 2, .pool_threads = 1},
-      {.producers = 1, .pool_threads = 2},
-      {.producers = 2, .pool_threads = 4, .ring = 128},
-      {.producers = 4, .pool_threads = 3, .ring = 64},
-  };
-  for (const RunConfig& config : variants) {
-    const RunOutcome r = run_pipeline(s, traffic, config);
-    EXPECT_EQ(r.stats.offered_packets, base.stats.offered_packets);
-    EXPECT_EQ(r.stats.sampled_packets, base.stats.sampled_packets);
-    EXPECT_EQ(r.stats.exported_records, base.stats.exported_records);
-    ASSERT_EQ(r.estimates.size(), base.estimates.size());
-    for (std::size_t k = 0; k < r.estimates.size(); ++k)
-      EXPECT_EQ(r.estimates[k], base.estimates[k])
-          << "OD " << k << " at producers=" << config.producers
-          << " pool=" << config.pool_threads;
+  const std::uint64_t heavy = traffic.packets_on(s.ab);
+  std::uint64_t total = 0;
+  for (const auto& source : traffic.sources(s.rates))
+    total += traffic.packets_on(source->link());
+  ASSERT_GT(heavy, total - heavy) << "A->B must outweigh the rest";
+
+  const RunOutcome balanced =
+      run_pipeline(s, traffic, {.producers = 2, .pool_threads = 2});
+  EXPECT_EQ(balanced.stats.offered_packets, total);
+  // The heaviest source runs alone: its producer replays exactly its
+  // packets, and the other producer all the rest.
+  EXPECT_EQ(balanced.stats.max_producer_packets, heavy);
+  // Round-robin would have stacked two light sources on its producer.
+  EXPECT_GT(round_robin_max(traffic, s.rates, 2), heavy);
+  // With three producers the light five share the other two.
+  const RunOutcome three =
+      run_pipeline(s, traffic, {.producers = 3, .pool_threads = 2});
+  EXPECT_EQ(three.stats.max_producer_packets, heavy);
+
+  // Same answers as one producer and as round-robin, bit for bit.
+  const RunOutcome single = run_pipeline(s, traffic, {.pool_threads = 2});
+  const RunOutcome round_robin = run_pipeline(
+      s, traffic, {.producers = 2, .pool_threads = 2, .hintless = true});
+  EXPECT_EQ(single.stats.max_producer_packets, total);
+  for (const RunOutcome* other : {&single, &round_robin, &three}) {
+    EXPECT_EQ(other->stats.offered_packets, balanced.stats.offered_packets);
+    EXPECT_EQ(other->stats.sampled_packets, balanced.stats.sampled_packets);
+    EXPECT_EQ(other->stats.exported_records,
+              balanced.stats.exported_records);
+    EXPECT_EQ(other->estimates, balanced.estimates);
+  }
+}
+
+TEST(IngestPipeline, HintlessSourcesKeepRoundRobin) {
+  const LineScenario s = skewed_scenario();
+  SyntheticTraffic traffic(s.matrix, s.tm, s.synth);
+  for (const unsigned producers : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << producers << " producers");
+    const RunOutcome r = run_pipeline(
+        s, traffic,
+        {.producers = producers, .pool_threads = 2, .hintless = true});
+    EXPECT_EQ(r.stats.max_producer_packets,
+              round_robin_max(traffic, s.rates, producers));
   }
 }
 
@@ -187,6 +298,13 @@ TEST(IngestPipeline, MetricsSurfaceTheRun) {
   ASSERT_NE(occupancy, nullptr);
   EXPECT_GT(occupancy->count, 0u);
   EXPECT_NE(snap.find("netmon_ingest_pkts_per_sec"), nullptr);
+  // One producer replays every packet: the critical path is all of them.
+  const obs::MetricSnapshot* busiest =
+      snap.find("netmon_ingest_producer_packets_max");
+  ASSERT_NE(busiest, nullptr);
+  EXPECT_EQ(static_cast<std::uint64_t>(busiest->value),
+            r.stats.max_producer_packets);
+  EXPECT_EQ(r.stats.max_producer_packets, r.stats.offered_packets);
 }
 
 TEST(IngestPipeline, RunIsOneShot) {

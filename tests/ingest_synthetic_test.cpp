@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <ctime>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "core/task.hpp"
 #include "helpers.hpp"
 #include "traffic/flow_generator.hpp"
+#include "util/rng.hpp"
 
 namespace netmon::ingest {
 namespace {
@@ -344,6 +347,85 @@ TEST(Synthetic, ReplayOrdersBucketBoundariesAndOverflow) {
   expect_reference_order(schedule);
   // A degenerate range: one effective bucket.
   schedule.first_sec = schedule.last_sec = 2.0;
+  expect_reference_order(schedule);
+}
+
+/// A random schedule shaped to stress the bucket ordering: a few start
+/// times shared by many spans, timestamps on a coarse grid (so spans
+/// collide exactly), dt = 0 spans, and span lengths from 1 to thousands
+/// of packets, so buckets hold anywhere from one emission to thousands.
+LinkSchedule random_schedule(Rng& rng) {
+  const auto span_count = static_cast<std::size_t>(1 + rng.below(300));
+  const double grid = rng.bernoulli(0.5) ? 0.01 : 0.0;  // 0: continuous
+  const auto snap = [grid](double t) {
+    return grid > 0.0 ? grid * std::floor(t / grid) : t;
+  };
+  std::vector<double> shared_starts;
+  for (int k = 0; k < 4; ++k) shared_starts.push_back(snap(rng.uniform(0, 8)));
+  std::vector<PacketSpan> spans;
+  for (std::size_t k = 0; k < span_count; ++k) {
+    const double roll = rng.uniform();
+    const std::uint64_t max_packets =
+        roll < 0.6 ? 4 : (roll < 0.95 ? 60 : 3000);
+    const auto packets = static_cast<std::uint32_t>(1 + rng.below(max_packets));
+    const double start = rng.bernoulli(0.3)
+                             ? shared_starts[rng.below(shared_starts.size())]
+                             : snap(rng.uniform(0.0, 10.0));
+    double dt = 0.0;
+    if (!rng.bernoulli(0.25))
+      dt = std::max(grid, snap(rng.uniform(0.0, 0.05)));
+    spans.push_back(
+        make_span(static_cast<std::uint16_t>(k), packets, start, dt));
+  }
+  LinkSchedule schedule = schedule_of(std::move(spans));
+  // The range is only a hint: often narrow it past the data, so starts
+  // fall before the first bucket and emissions pile into the last one.
+  const double roll = rng.uniform();
+  const double range = schedule.last_sec - schedule.first_sec;
+  if (roll < 0.25) {
+    schedule.first_sec += rng.uniform(0.0, 0.5) * range;
+    schedule.last_sec -= rng.uniform(0.0, 0.5) * range;
+  } else if (roll < 0.35) {
+    schedule.last_sec = schedule.first_sec;  // one effective bucket
+  }
+  return schedule;
+}
+
+TEST(Synthetic, ReplayMatchesReferenceOrderOnRandomSchedules) {
+  Rng rng(2024);
+  std::uint64_t packets = 0;
+  for (int round = 0; round < 150; ++round) {
+    SCOPED_TRACE(testing::Message() << "schedule " << round);
+    const LinkSchedule schedule = random_schedule(rng);
+    packets += schedule.packets;
+    expect_reference_order(schedule);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(packets, 100000u);
+}
+
+TEST(Synthetic, ReplayOrdersALargeSameTimestampPileupWithoutQuadraticWork) {
+  // 240k packets of 6,000 spans at one timestamp: one bucket, one
+  // sub-bucket, listed in reverse span order. An insertion pass over it
+  // makes ~3e10 moves (about a minute of CPU); the comparison-sort
+  // fallback orders it in well under a second, under a sanitizer too.
+  // Process CPU time, not wall time, so a loaded host or a parallel
+  // test run does not count against it.
+  std::vector<PacketSpan> spans;
+  for (std::uint16_t k = 0; k < 6000; ++k)
+    spans.push_back(make_span(k, 40, 2.5, 0.0));
+  spans.push_back(make_span(6000, 50, 1.0, 0.05));  // a spread-out span
+  const LinkSchedule schedule = schedule_of(std::move(spans));
+  ASSERT_GE(schedule.packets, 240000u);
+
+  const std::clock_t start = std::clock();
+  const auto source = replay_schedule(5, schedule);
+  const std::vector<PacketRecord> actual = drain(*source, 256);
+  const double replay_cpu_s =
+      static_cast<double>(std::clock() - start) / CLOCKS_PER_SEC;
+  expect_same_stream(actual, reference_stream(schedule));
+  EXPECT_LT(replay_cpu_s, 5.0)
+      << "the pileup's bucket was ordered in quadratic time";
   expect_reference_order(schedule);
 }
 

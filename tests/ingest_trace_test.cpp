@@ -52,6 +52,8 @@ TEST(Trace, EncodeDecodeRoundTripsEverything) {
   TraceReader reader(encode_trace(in), {.link = 3});
   EXPECT_EQ(reader.link(), 3u);
   EXPECT_EQ(reader.frame_count(), in.size());
+  // The frame count is the pipeline's producer-balancing hint.
+  EXPECT_EQ(reader.expected_packets(), in.size());
 
   const std::vector<PacketRecord> out = drain(reader);
   ASSERT_EQ(out.size(), in.size());
@@ -149,6 +151,7 @@ TEST(Trace, FuzzRandomBuffersNeverCrash) {
       TraceReader reader(std::move(bytes));
       const std::vector<PacketRecord> out = drain(reader);
       EXPECT_LE(out.size(), reader.frame_count());
+      EXPECT_LE(out.size(), reader.expected_packets());
     } catch (const Error&) {
       // rejected: fine
     }

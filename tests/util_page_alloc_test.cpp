@@ -54,17 +54,18 @@ TEST(PageAllocTest, SpanViewsWork) {
   EXPECT_EQ(s[4095], 7.0);
 }
 
-TEST(PageAllocTest, LazyVectorReservesWithoutResizing) {
-  // Reserve far past the threshold, touch a little: the dedicated
-  // mapping holds the values and push_back stays within the capacity.
-  LazyPageVector<double> v;
-  v.reserve(1 << 18);
-  const double* data = v.data();
-  for (std::size_t i = 0; i < 3000; ++i) v.push_back(static_cast<double>(i));
-  EXPECT_EQ(v.data(), data);
-  EXPECT_EQ(v[2999], 2999.0);
-  LazyPageVector<float> small(8, 1.5f);  // below the threshold
+TEST(PageAllocTest, LazyArrayHoldsWhatIsWritten) {
+  // Far past the threshold (a dedicated mapping), touch a little; and
+  // below it (operator new).
+  LazyPageArray<double> big(1 << 18);
+  EXPECT_EQ(big.size(), std::size_t{1} << 18);
+  for (std::size_t i = 0; i < 3000; ++i) big[i] = static_cast<double>(i);
+  EXPECT_EQ(big[2999], 2999.0);
+  EXPECT_EQ(big.data() + 2999, &big[2999]);
+  LazyPageArray<float> small(8);
+  small[7] = 1.5f;
   EXPECT_EQ(small[7], 1.5f);
+  EXPECT_EQ(LazyPageArray<int>(0).data(), nullptr);
 }
 
 TEST(PageAllocTest, AllocatorsCompareEqual) {
